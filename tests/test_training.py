@@ -26,7 +26,6 @@ from accept.training import (
     apply_init,
     evaluate,
     load_checkpoint,
-    lr_grid_search,
     save_checkpoint,
     train,
 )
@@ -274,50 +273,6 @@ def test_one_hot_frozen_weights_reproduce_direct_prompt_tuning():
         compose(factorized.prepended.codebook, factorized.prepended.weights).data,
         direct.prepended.matrix.data,
     )
-
-
-# -- grid search -----------------------------------------------------------------------
-
-
-def test_grid_search_single_entry_short_circuits():
-    model = frozen_model()
-    grids = {"scpp": [0.3], "scap": [1e-3]}
-    best, table = lr_grid_search(
-        grids, quick_cfg(), model, lambda: fresh_prompts(), tiny_task(), tiny_task(1)
-    )
-    assert best == (0.3, 1e-3)
-    assert len(table) == 1 and table[0][:2] == (0.3, 1e-3)
-
-
-def test_grid_search_breaks_ties_in_grid_order():
-    model = frozen_model()
-    grids = {"scpp": [0.5, 0.3], "scap": [1e-3, 5e-4]}
-    cfg = RunConfig(steps=0, warmup_steps=0)
-    best, table = lr_grid_search(
-        grids, cfg, model, lambda: fresh_prompts(), tiny_task(), tiny_task(1)
-    )
-    scores = [row[2] for row in table]
-    assert len(set(scores)) == 1  # untrained prompts: every cell identical
-    assert best == (0.5, 1e-3)
-    assert [row[:2] for row in table] == [(0.5, 1e-3), (0.5, 5e-4), (0.3, 1e-3), (0.3, 5e-4)]
-
-
-def test_grid_search_rejects_empty_grid():
-    with pytest.raises(ContractError):
-        lr_grid_search({"scpp": [], "scap": [1e-3]}, quick_cfg(), frozen_model(), lambda: fresh_prompts(), tiny_task(), tiny_task(1))
-
-
-def test_grid_search_picks_strictly_better_cell():
-    model = frozen_model(seed=6)
-    grids = {"scpp": [0.3, 1e-9], "scap": [1e-9]}
-    cfg = quick_cfg(steps=200, eval_interval=100, warmup_steps=20)
-    best, table = lr_grid_search(
-        grids, cfg, model, lambda: fresh_prompts(seed=6), tiny_task(seed=12, n=128), tiny_task(seed=13)
-    )
-    by_pair = {row[:2]: row[2] for row in table}
-    if by_pair[(0.3, 1e-9)] != by_pair[(1e-9, 1e-9)]:
-        expected = max(table, key=lambda row: row[2])[:2]
-        assert best == expected
 
 
 # -- init strategies --------------------------------------------------------------------
