@@ -467,6 +467,7 @@ def run_sweep_granularity(
     """
     if component not in ("scpp", "scap"):
         raise ConfigError(f"component must be scpp or scap, got {component!r}")
+    _check_parallel_backbone(base_spec, jobs)
     shared = resolve_shared(base_spec)
     d = shared.model.config.d
     if component == "scpp":
@@ -498,6 +499,13 @@ def _cell_spec(base_spec: dict, name: str, blocks: dict) -> dict:
     return json.loads(json.dumps(spec))
 
 
+def _check_parallel_backbone(base_spec: dict, jobs: int) -> None:
+    """Parallel workers load the backbone from disk, so it must be a path."""
+    backbone = base_spec.get("backbone")
+    if jobs > 1 and not (isinstance(backbone, dict) and "path" in backbone):
+        raise ConfigError("parallel cells require a backbone checkpoint path")
+
+
 def _run_cell(args):
     spec, runs_root = args
     return run_experiment(spec, runs_root)
@@ -512,9 +520,6 @@ def _run_cells(
             _run_resolved(spec, resolve_prompts(spec, shared), runs_root)
             for spec in cell_specs
         ]
-    for spec in cell_specs:
-        if "path" not in spec.get("backbone", {}):
-            raise ConfigError("parallel cells require a backbone checkpoint path")
     ctx = get_context("spawn")
     with ctx.Pool(processes=min(jobs, len(cell_specs))) as pool:
         return pool.map(_run_cell, [(spec, str(runs_root)) for spec in cell_specs])
@@ -546,6 +551,7 @@ def run_ablate(
         raise ConfigError(f"unknown ablation axes {sorted(bad)}; choose from {sorted(allowed)}")
     if "pp" not in axes:
         raise ConfigError("ablation grid is anchored on prepended prompts; include 'pp'")
+    _check_parallel_backbone(base_spec, jobs)
     shared = resolve_shared(base_spec)
     d = shared.model.config.d
     scpp_block = _require(base_spec, "scpp", "ablate")
@@ -679,6 +685,7 @@ def run_length_sweep(
         raise ConfigError(f"lengths must be >= 0, got {lengths}")
     if len(set(lengths)) != len(lengths):
         raise ConfigError(f"duplicate lengths in {lengths}")
+    _check_parallel_backbone(base_spec, jobs)
     shared = resolve_shared(base_spec)
     d = shared.model.config.d
     scpp_block = _require(base_spec, "scpp", "length sweep")

@@ -274,17 +274,19 @@ def gelu(a: Tensor) -> Tensor:
     """Gaussian error linear unit, tanh approximation.
 
     Forward and backward use the same approximation, so finite-difference
-    checks agree with the analytic gradient to machine precision.
+    checks agree with the analytic gradient to machine precision.  Powers
+    are written as products: on float32 arrays numpy's generic float power
+    (``x**3``) is about 100x slower than two multiplies.
     """
     _require_tensor(a, "gelu")
     x = a.data
-    u = _GELU_K * (x + _GELU_C * x**3)
+    u = _GELU_K * (x + _GELU_C * (x * x * x))
     th = np.tanh(u)
     out = 0.5 * x * (1.0 + th)
 
     def backward_fn(g: np.ndarray):
-        du = _GELU_K * (1.0 + 3.0 * _GELU_C * x**2)
-        local = 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th**2) * du
+        du = _GELU_K * (1.0 + 3.0 * _GELU_C * (x * x))
+        local = 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th * th) * du
         return (g * local,)
 
     return Tensor._wrap(out, (a,), backward_fn, "gelu")

@@ -1,9 +1,12 @@
 """Shared fixtures.
 
 The desk-scale backbone used by the learning tests is pretrained once per
-session (about three minutes of CPU) and cached under pytest's cache
-directory, keyed by the recipe, so repeated sessions skip the wait.  Tests
-that only need tiny models build their own and never touch this fixture.
+session (about two minutes of CPU) and cached under pytest's cache
+directory, keyed by the recipe and by a fingerprint of the forward pass's
+float bits, so repeated sessions skip the wait but a change to the numerics
+pretrains afresh.  Without the cache plugin it is pretrained into a session
+temp directory.  Tests that only need tiny models build their own and never
+touch this fixture.
 """
 import hashlib
 import json
@@ -21,8 +24,27 @@ DESK_RECIPE = {
 }
 
 
+def numerics_fingerprint() -> str:
+    """sha256 of the logits of one fixed forward pass on a fixed random init.
+
+    Any change to the bits the forward computes changes this digest.
+    """
+    import numpy as np
+
+    from accept.backbone import BackboneConfig, BackboneModel
+
+    config = BackboneConfig()
+    model = BackboneModel.random_init(config, seed=0)
+    tokens = np.random.default_rng(0).integers(
+        1, config.vocab_size, size=(8, config.max_len)
+    )
+    e, mask = model.embed_batch(tokens.tolist())
+    logits = model.forward(model.assemble_input(e, mask))
+    return hashlib.sha256(logits.data.tobytes()).hexdigest()
+
+
 @pytest.fixture(scope="session")
-def desk_backbone(request):
+def desk_backbone(request, tmp_path_factory):
     """(model, source_accuracy_report) for the pretrained frozen backbone."""
     from accept.backbone import (
         BackboneConfig,
@@ -32,10 +54,14 @@ def desk_backbone(request):
     )
     from accept.tasks import gen_task
 
-    key = hashlib.sha256(
-        json.dumps(DESK_RECIPE, sort_keys=True).encode()
-    ).hexdigest()[:16]
-    cache_dir = request.config.cache.mkdir(f"desk_backbone_{key}")
+    cache = getattr(request.config, "cache", None)  # None under -p no:cacheprovider
+    if cache is None:
+        cache_dir = tmp_path_factory.mktemp("desk_backbone")
+    else:
+        key = hashlib.sha256(
+            json.dumps([DESK_RECIPE, numerics_fingerprint()], sort_keys=True).encode()
+        ).hexdigest()[:16]
+        cache_dir = cache.mkdir(f"desk_backbone_{key}")
     report_path = cache_dir / "source_report.json"
     if (cache_dir / "arch.json").exists() and report_path.exists():
         model = BackboneModel.load(cache_dir)

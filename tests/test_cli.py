@@ -471,28 +471,35 @@ def test_parallel_jobs_match_serial_results(tmp_path, tiny_backbone_dir, capsys)
     assert serial_csv.read_bytes() == par_csv.read_bytes()
 
 
-def test_parallel_jobs_require_backbone_path(tmp_path, capsys):
-    spec = {
-        "name": "inline",
-        "backbone": {
-            "config": {"d": 16, "layers": 1, "heads": 2, "vocab_size": 32,
-                       "max_len": 8, "num_classes": 2, "dtype": "f32"},
-            "pretrain": {"steps": 5, "batch_size": 8, "seed": 0,
-                         "tasks": [{"kind": "majority", "n": 32, "length": 6,
-                                    "vocab_size": 32, "seed": 3}]},
-        },
-        "train_set": {"kind": "majority", "n": 32, "length": 6, "vocab_size": 32, "seed": 5},
-        "eval_set": {"kind": "majority", "n": 32, "length": 6, "vocab_size": 32, "seed": 6},
-        "scpp": {"m": 2, "K": 2, "budget": 100},
-        "run": {"steps": 10, "batch_size": 8, "warmup_steps": 2, "eval_interval": 10, "seed": 1},
-    }
-    cfg = write_config(tmp_path, spec)
-    assert main(["sweep-granularity", "--config", cfg, "--component", "scpp",
-                 "--budget", "100", "--t-values", "8,16", "--jobs", "2",
-                 "--runs-dir", str(tmp_path / "runs")]) == 2
+def test_parallel_jobs_require_backbone_path(tmp_path, capsys, monkeypatch):
+    """--jobs > 1 with an inline recipe exits 2 before pretraining anything."""
+    import accept.experiments as E
+
+    calls = []
+    real = E.pretrain_backbone
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(E, "pretrain_backbone", counting)
+    cfg = write_config(tmp_path, inline_config())
+    for verb_args in MULTI_RUN_VERBS.values():
+        assert main([*verb_args, cfg, "--jobs", "2",
+                     "--runs-dir", str(tmp_path / "runs")]) == 2
+    assert len(calls) == 0
 
 
 # -- multi-run verbs share one resolution ----------------------------------------------------
+
+
+# Each multi-run verb's arguments, to be followed by the config path.
+MULTI_RUN_VERBS = {
+    "sweep-granularity": ["sweep-granularity", "--component", "scpp", "--budget", "100",
+                          "--config"],
+    "ablate": ["ablate"],
+    "length-sweep": ["length-sweep", "--lengths", "0,2,4"],
+}
 
 
 def inline_config():
@@ -509,11 +516,7 @@ def inline_config():
     return spec
 
 
-@pytest.mark.parametrize("verb_args", [
-    ["sweep-granularity", "--component", "scpp", "--budget", "100", "--config"],
-    ["ablate"],
-    ["length-sweep", "--lengths", "0,2,4"],
-], ids=["sweep-granularity", "ablate", "length-sweep"])
+@pytest.mark.parametrize("verb_args", MULTI_RUN_VERBS.values(), ids=MULTI_RUN_VERBS.keys())
 def test_multi_run_verb_pretrains_inline_backbone_once(tmp_path, capsys, monkeypatch, verb_args):
     import accept.experiments as E
 

@@ -314,6 +314,30 @@ def test_float32_gradients_within_loose_tolerance():
     assert (np.abs(ga - fd) / denom).max() < 1e-2
 
 
+def test_float32_gelu_values_match_float64_formula():
+    """f32 forward and backward stay within a few ulps of the f64 tanh formula."""
+    near3 = 3.0 + np.arange(-4, 5) * np.spacing(np.float32(3.0))
+    x32 = np.concatenate(
+        [np.linspace(-10.0, 10.0, 4001), near3, -near3, np.zeros(3)]
+    ).astype(np.float32)
+    g32 = np.random.default_rng(0).uniform(-1.0, 1.0, size=x32.shape).astype(np.float32)
+    x = T.Tensor(x32, trainable=True)
+    out = T.gelu(x)
+    grad = T.backward(T.sum_all(T.mul(out, T.Tensor(g32))))[x]
+
+    k, c = np.sqrt(2.0 / np.pi), 0.044715
+    x64 = x32.astype(np.float64)
+    th = np.tanh(k * (x64 + c * x64**3))
+    ref_out = 0.5 * x64 * (1.0 + th)
+    ref_local = 0.5 * (1.0 + th) + 0.5 * x64 * (1.0 - th**2) * k * (1.0 + 3.0 * c * x64**2)
+    ref_grad = g32.astype(np.float64) * ref_local
+
+    tol = 8 * np.finfo(np.float32).eps * np.maximum(1.0, np.abs(x64))
+    assert out.dtype == grad.dtype == np.float32
+    assert np.all(np.abs(out.data - ref_out) <= tol)
+    assert np.all(np.abs(grad - ref_grad) <= tol)
+
+
 # ---------------------------------------------------------------------------
 # grad_check harness
 
