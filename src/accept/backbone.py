@@ -35,6 +35,7 @@ __all__ = [
     "AssembledInput",
     "BackboneModel",
     "PretrainConfig",
+    "numerics_fingerprint",
     "pretrain_backbone",
     "sinusoidal_rows",
 ]
@@ -145,9 +146,9 @@ def _param_specs(cfg: BackboneConfig) -> list[tuple[str, tuple[int, ...], str]]:
 class AssembledInput:
     """Forward-ready sequence: prompt rows, then (possibly shifted) tokens.
 
-    values is (s, d) for one example or (B, s, d) for a batch; mask marks
-    attendable rows (prompt rows and real tokens, not padding) and the
-    first prompt_len rows are always prompt rows.
+    values is (B, s, d); the (B, s) mask marks attendable rows (prompt
+    rows and real tokens, not padding) and the first prompt_len rows are
+    always prompt rows.
     """
 
     values: Tensor
@@ -197,12 +198,11 @@ class BackboneModel:
 
     # -- parameter plumbing ------------------------------------------------
 
-    def freeze(self, head_trainable: bool = False) -> None:
-        """Make every parameter non-trainable (optionally sparing the head)."""
+    def freeze(self) -> None:
+        """Make every parameter non-trainable."""
         for name, t in self.params.items():
-            keep = head_trainable and name.startswith("head.")
-            if t.trainable != keep:
-                self.params[name] = Tensor(t.data, trainable=keep, name=name, dtype=t.dtype)
+            if t.trainable:
+                self.params[name] = Tensor(t.data, trainable=False, name=name, dtype=t.dtype)
 
     @property
     def frozen(self) -> bool:
@@ -211,7 +211,7 @@ class BackboneModel:
     def trainable_params(self) -> list[tuple[str, Tensor]]:
         return [(n, t) for n, t in sorted(self.params.items()) if t.trainable]
 
-    def param_refs(self, lr_key: str = "backbone") -> list[ParamRef]:
+    def param_refs(self) -> list[ParamRef]:
         refs = []
         for name, _ in self.trainable_params():
             def getter(n=name):
@@ -220,7 +220,7 @@ class BackboneModel:
             def setter(t, n=name):
                 self.params[n] = t
 
-            refs.append(ParamRef(getter, setter, lr_key, name))
+            refs.append(ParamRef(getter, setter, "backbone", name))
         return refs
 
     def hash_params(self) -> str:
@@ -245,19 +245,6 @@ class BackboneModel:
             out.append(t)
         return out
 
-    def embed(self, tokens) -> tuple[Tensor, np.ndarray]:
-        """One example -> ((max_len, d) rows, (max_len,) real-token mask).
-
-        Sequences longer than max_len are truncated; shorter ones are
-        padded with the padding id, whose rows the mask excludes.
-        """
-        ids_list = self._check_ids(tokens)[: self.config.max_len]
-        ids = np.full(self.config.max_len, PAD_ID, dtype=np.int64)
-        ids[: len(ids_list)] = ids_list
-        mask = np.zeros(self.config.max_len, dtype=bool)
-        mask[: len(ids_list)] = True
-        return T.gather_rows(self.params["emb"], ids), mask
-
     def embed_batch(self, token_seqs) -> tuple[Tensor, np.ndarray]:
         """Batch of examples -> ((B, max_len, d) rows, (B, max_len) mask)."""
         seqs = list(token_seqs)
@@ -279,15 +266,15 @@ class BackboneModel:
         prompt: Tensor | None = None,
         added: Tensor | None = None,
     ) -> AssembledInput:
-        """Combine token rows with optional prepended/added prompts.
+        """Combine (B, s, d) token rows with optional prepended/added prompts.
 
         added must match one example's token grid (max_len, d) and is
         summed onto every example's token rows; prompt is (m, d) and is
         prepended (replicated across the batch), extending the mask with
         m attendable rows.
         """
-        if e.ndim not in (2, 3) or e.shape[-1] != self.config.d:
-            raise AssemblyError(f"token rows must be (..., {self.config.d}), got {e.shape}")
+        if e.ndim != 3 or e.shape[-1] != self.config.d:
+            raise AssemblyError(f"token rows must be (B, s, {self.config.d}), got {e.shape}")
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != e.shape[:-1]:
             raise AssemblyError(f"mask shape {mask.shape} does not match rows {e.shape}")
@@ -305,10 +292,8 @@ class BackboneModel:
                     f"prepended prompt must be (m, {self.config.d}), got {prompt.shape}"
                 )
             m = prompt.shape[0]
-            block = prompt if vals.ndim == 2 else T.expand_leading(prompt, vals.shape[0])
-            vals = T.concat_rows(block, vals)
-            ones = np.ones(mask.shape[:-1] + (m,), dtype=bool)
-            mask = np.concatenate([ones, mask], axis=-1)
+            vals = T.concat_rows(T.expand_leading(prompt, vals.shape[0]), vals)
+            mask = np.concatenate([np.ones((mask.shape[0], m), dtype=bool), mask], axis=1)
         return AssembledInput(values=vals, mask=mask, prompt_len=m)
 
     # -- forward -----------------------------------------------------------
@@ -329,17 +314,20 @@ class BackboneModel:
         grid[prompt_len:] = self._pe[:n_tok]
         return grid
 
+    def logits(
+        self, token_seqs, prompt: Tensor | None = None, added: Tensor | None = None
+    ) -> Tensor:
+        """(B, num_classes) logits of token sequences under optional prompts."""
+        e, mask = self.embed_batch(token_seqs)
+        return self.forward(self.assemble_input(e, mask, prompt=prompt, added=added))
+
     def forward(self, assembled: AssembledInput) -> Tensor:
-        """Logits for an assembled input: (num_classes,) or (B, num_classes)."""
+        """(B, num_classes) logits for an assembled input."""
         cfg = self.config
         vals = assembled.values
         mask = np.asarray(assembled.mask, dtype=bool)
-        single = vals.ndim == 2
-        if single:
-            vals = T.reshape(vals, (1,) + vals.shape)
-            mask = mask[None, :]
         if vals.ndim != 3 or vals.shape[-1] != cfg.d:
-            raise AssemblyError(f"values must be (B, s, {cfg.d}), got {assembled.values.shape}")
+            raise AssemblyError(f"values must be (B, s, {cfg.d}), got {vals.shape}")
         bsz, s, _ = vals.shape
         if mask.shape != (bsz, s):
             raise AssemblyError(f"mask shape {mask.shape} does not match values {vals.shape}")
@@ -364,10 +352,7 @@ class BackboneModel:
         if (pool_mask.sum(axis=1) == 0).any():
             raise AssemblyError("an example has no real token rows to pool")
         pooled = T.masked_mean_rows(x, pool_mask)
-        logits = T.add(T.matmul(pooled, self.params["head.w"]), self.params["head.b"])
-        if single:
-            logits = T.reshape(logits, (cfg.num_classes,))
-        return logits
+        return T.add(T.matmul(pooled, self.params["head.w"]), self.params["head.b"])
 
     def _block(self, x: Tensor, i: int, bias_t: Tensor, bsz: int, s: int) -> Tensor:
         cfg = self.config
@@ -426,6 +411,17 @@ class BackboneModel:
         return cls(config, params)
 
 
+def numerics_fingerprint() -> str:
+    """sha256 of the logits of one fixed forward pass on a fixed random init.
+
+    Any change to the bits the forward computes changes this digest.
+    """
+    config = BackboneConfig()
+    model = BackboneModel.random_init(config, seed=0)
+    tokens = np.random.default_rng(0).integers(1, config.vocab_size, size=(8, config.max_len))
+    return hashlib.sha256(model.logits(tokens.tolist()).data.tobytes()).hexdigest()
+
+
 # -- pretraining -------------------------------------------------------------
 
 
@@ -450,18 +446,12 @@ def _slot_prompt(model: BackboneModel, task_index: int) -> Tensor:
     return T.gather_rows(model.params["emb"], np.array([slot], dtype=np.int64))
 
 
-def _batch_logits(model: BackboneModel, examples, task_index: int) -> Tensor:
-    e, mask = model.embed_batch([ex.tokens for ex in examples])
-    assembled = model.assemble_input(e, mask, prompt=_slot_prompt(model, task_index))
-    return model.forward(assembled)
-
-
 def _slot_accuracy(model: BackboneModel, ds: Dataset, task_index: int, limit: int) -> float:
     n = min(limit, len(ds))
     hits = 0
     for start in range(0, n, 64):
         chunk = ds.examples[start : min(start + 64, n)]
-        logits = _batch_logits(model, chunk, task_index)
+        logits = model.logits([ex.tokens for ex in chunk], prompt=_slot_prompt(model, task_index))
         preds = np.argmax(logits.data, axis=-1)
         hits += int(sum(int(p) == ex.label for p, ex in zip(preds, chunk)))
     return hits / n
@@ -494,7 +484,7 @@ def pretrain_backbone(
             )
 
     model = BackboneModel.random_init(config, pre.seed)
-    opt = AdamW(model.param_refs("backbone"), weight_decay=pre.weight_decay)
+    opt = AdamW(model.param_refs(), weight_decay=pre.weight_decay)
     rng = np.random.default_rng((pre.seed, len(datasets)))
     for step in range(1, pre.steps + 1):
         task_index = (step - 1) % len(datasets)
@@ -502,7 +492,9 @@ def pretrain_backbone(
         idx = rng.integers(0, len(ds), size=pre.batch_size)
         batch = [ds.examples[int(j)] for j in idx]
         try:
-            logits = _batch_logits(model, batch, task_index)
+            logits = model.logits(
+                [ex.tokens for ex in batch], prompt=_slot_prompt(model, task_index)
+            )
             labels = np.array([ex.label for ex in batch], dtype=np.int64)
             loss = T.softmax_cross_entropy(logits, labels)
             grads = T.backward(loss)

@@ -137,6 +137,10 @@ def cmd_eval(args) -> int:
     best_dir = run_dir / "best"
     if not best_dir.exists():
         raise ConfigError(f"{run_dir} has no best/ checkpoint to evaluate")
+    trained_on = json.loads((run_dir / "summary.json").read_text(encoding="utf-8"))["backbone_hash"]
+    current = resolved.model.hash_params()
+    if trained_on != current:
+        raise ConfigError(f"{run_dir} was trained on backbone {trained_on}, config gives {current}")
     prompts, _ = load_checkpoint(best_dir, trainable=False)
     if args.dataset:
         dataset = parse_dataset(json.loads(args.dataset), "dataset", split="eval")

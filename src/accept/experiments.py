@@ -18,13 +18,19 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass, replace
+from dataclasses import asdict, dataclass, replace
 from multiprocessing import get_context
 from pathlib import Path
 
 import numpy as np
 
-from .backbone import BackboneConfig, BackboneModel, PretrainConfig, pretrain_backbone
+from .backbone import (
+    BackboneConfig,
+    BackboneModel,
+    PretrainConfig,
+    numerics_fingerprint,
+    pretrain_backbone,
+)
 from .factorization import (
     PromptDims,
     param_count,
@@ -157,32 +163,49 @@ def parse_dataset(obj, where: str, split: str) -> Dataset:
 
 
 def parse_backbone(obj, where: str = "backbone") -> BackboneModel:
+    """Load a saved backbone, or pretrain an inline recipe.
+
+    An inline recipe's cache_dir is reused only when its recipe.json holds
+    this recipe and this code's numerics fingerprint; otherwise the recipe
+    is pretrained afresh and overwrites the cache.
+    """
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: must be an object with 'path' or 'config'+'pretrain'")
     if "path" in obj:
         return BackboneModel.load(obj["path"])
     cfg_obj = _require(obj, "config", where)
     pre_obj = _require(obj, "pretrain", where)
-    cache = obj.get("cache_dir")
-    if cache and Path(cache, "arch.json").exists():
-        return BackboneModel.load(cache)
     try:
         config = BackboneConfig(**cfg_obj)
     except TypeError as err:
         raise ConfigError(f"{where}.config: {err}") from None
     task_specs = _require(pre_obj, "tasks", f"{where}.pretrain")
-    tasks = [
-        parse_dataset(t, f"{where}.pretrain.tasks[{i}]", split="pretrain")
-        for i, t in enumerate(task_specs)
-    ]
     pre_fields = {k: v for k, v in pre_obj.items() if k != "tasks"}
     try:
         pre = PretrainConfig(**pre_fields)
     except TypeError as err:
         raise ConfigError(f"{where}.pretrain: {err}") from None
+    cache = obj.get("cache_dir")
+    if cache:
+        recipe_path = Path(cache, "recipe.json")
+        recipe = {
+            "config": asdict(config),
+            "pretrain": {**asdict(pre), "tasks": task_specs},
+            "numerics": numerics_fingerprint(),
+        }
+        recipe_text = json.dumps(recipe, sort_keys=True, indent=2) + "\n"
+        if recipe_path.exists() and recipe_path.read_text(encoding="utf-8") == recipe_text:
+            return BackboneModel.load(cache)
+    tasks = [
+        parse_dataset(t, f"{where}.pretrain.tasks[{i}]", split="pretrain")
+        for i, t in enumerate(task_specs)
+    ]
     model, _ = pretrain_backbone(config, tasks, pre)
     if cache:
+        # recipe.json goes last, so an interrupted save is never reused.
+        recipe_path.unlink(missing_ok=True)
         model.save(cache)
+        recipe_path.write_text(recipe_text, encoding="utf-8")
     return model
 
 
@@ -306,7 +329,7 @@ def resolve_experiment(spec: dict, allow_over_budget: bool = False) -> ResolvedE
 def build_prompts(resolved: ResolvedExperiment) -> PromptSet:
     dims_p = resolved.scpp.dims if resolved.scpp else None
     dims_a = resolved.scap.dims if resolved.scap else None
-    dtype = resolved.run_config.np_dtype
+    dtype = resolved.model.config.np_dtype
     seed = resolved.run_config.seed
     if dims_p is not None or dims_a is not None:
         prompts = apply_init(resolved.init, dims_p, dims_a, seed=seed, dtype=dtype)
@@ -316,12 +339,7 @@ def build_prompts(resolved: ResolvedExperiment) -> PromptSet:
         rng = np.random.default_rng((seed, 2))
         rows = rng.normal(0.0, 0.1, size=(resolved.direct_prepend, resolved.model.config.d))
         direct = DirectPrompt(Tensor(rows.astype(dtype), trainable=True, name="pt_rows"))
-        if prompts is None:
-            prompts = PromptSet(prepended=direct)
-        else:
-            if prompts.prepended is not None:
-                raise ConfigError("cannot combine scpp with direct_prepend")
-            prompts = PromptSet(prepended=direct, added=prompts.added)
+        prompts = PromptSet(prepended=direct, added=prompts.added if prompts else None)
     return prompts
 
 

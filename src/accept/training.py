@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 
 from . import tensor as T
-from .backbone import _DTYPES, BackboneModel
+from .backbone import BackboneModel
 from .checkpoint import load_prompts, save_prompts
 from .factorization import Codebook, InitError, PromptDims, WeightSet, compose, init_random
 from .metrics import METRIC_NAMES, metric as compute_metric
@@ -58,10 +58,7 @@ class RunConfig:
     eval_interval: int = 100
     lr_scpp: float = 0.4
     lr_scap: float = 1e-3
-    # Learning rate for an optionally unfrozen classifier head.
-    lr_head: float = 1e-3
     seed: int = 0
-    dtype: str = "f32"
     metric: str = "accuracy"
     # Optional early stop: halt at the first evaluation reaching this value.
     stop_at_metric: float | None = None
@@ -79,14 +76,8 @@ class RunConfig:
             raise ContractError(
                 f"warmup_steps={self.warmup_steps} outside [0, steps={self.steps}]"
             )
-        if self.dtype not in _DTYPES:
-            raise ContractError(f"dtype must be one of {sorted(_DTYPES)}, got {self.dtype!r}")
         if self.metric not in METRIC_NAMES:
             raise ContractError(f"metric must be one of {METRIC_NAMES}, got {self.metric!r}")
-
-    @property
-    def np_dtype(self):
-        return _DTYPES[self.dtype]
 
 
 @dataclass(frozen=True)
@@ -257,6 +248,10 @@ class PromptSet:
             out.append(("scap", self.added))
         return out
 
+    def rows(self) -> tuple[Tensor | None, Tensor | None]:
+        """(prepended rows, added rows), None for an absent component."""
+        return tuple(None if c is None else c.rows() for c in (self.prepended, self.added))
+
     def param_refs(self) -> list[ParamRef]:
         refs = []
         for key, comp in self.components():
@@ -277,28 +272,36 @@ class PromptSet:
 # -- forward plumbing ----------------------------------------------------------
 
 
-def _check_dims(model: BackboneModel, prompts: PromptSet) -> None:
-    d = model.config.d
+def _check_dims(model: BackboneModel, prompts: PromptSet, *datasets: Dataset) -> None:
+    """Prompts and datasets must fit the model's width, grid, dtype, head and vocab."""
+    cfg = model.config
     for key, comp in prompts.components():
-        if comp.d != d:
-            raise ContractError(f"{key} prompt is {comp.d}-dimensional, model wants {d}")
-    if prompts.added is not None and prompts.added.positions != model.config.max_len:
+        if comp.d != cfg.d:
+            raise ContractError(f"{key} prompt is {comp.d}-dimensional, model wants {cfg.d}")
+        if isinstance(comp, DirectPrompt):
+            leaves = (comp.matrix,)
+        else:
+            leaves = (comp.codebook.entries, comp.weights.entries)
+        if any(leaf.dtype != cfg.np_dtype for leaf in leaves):
+            raise ContractError(f"{key} prompt dtype differs from model dtype {cfg.dtype}")
+    if prompts.added is not None and prompts.added.positions != cfg.max_len:
         raise ContractError(
             f"added prompt covers {prompts.added.positions} positions, "
-            f"model grid is {model.config.max_len}"
+            f"model grid is {cfg.max_len}"
         )
-
-
-def _batch_logits(model: BackboneModel, prompts: PromptSet, examples) -> Tensor:
-    e, mask = model.embed_batch([ex.tokens for ex in examples])
-    prepend = prompts.prepended.rows() if prompts.prepended is not None else None
-    added = prompts.added.rows() if prompts.added is not None else None
-    asm = model.assemble_input(e, mask, prompt=prepend, added=added)
-    return model.forward(asm)
+    for ds in datasets:
+        if ds.num_classes != cfg.num_classes:
+            raise ContractError(
+                f"{ds.split} set has {ds.num_classes} classes, model head has {cfg.num_classes}"
+            )
+        if ds.vocab_size > cfg.vocab_size:
+            raise ContractError(
+                f"{ds.split} set declares vocab_size {ds.vocab_size}, model has {cfg.vocab_size}"
+            )
 
 
 def _batch_loss(model: BackboneModel, prompts: PromptSet, examples, num_classes: int) -> Tensor:
-    logits = _batch_logits(model, prompts, examples)
+    logits = model.logits([ex.tokens for ex in examples], *prompts.rows())
     if num_classes == 1:
         targets = np.array([ex.label for ex in examples], dtype=logits.dtype)
         return T.mean_squared_error(logits, targets)
@@ -314,10 +317,11 @@ def evaluate(
     batch_size: int = 64,
 ) -> float:
     """Metric of the current prompts over a whole dataset, deterministically."""
+    _check_dims(model, prompts, dataset)
     preds = []
     for start in range(0, len(dataset), batch_size):
         chunk = dataset.examples[start : start + batch_size]
-        logits = _batch_logits(model, prompts, chunk)
+        logits = model.logits([ex.tokens for ex in chunk], *prompts.rows())
         if dataset.num_classes == 1:
             preds.extend(np.asarray(logits.data).reshape(-1).tolist())
         else:
@@ -341,20 +345,14 @@ def train(
     since the previous evaluation; retains the first-seen best snapshot.
     Deterministic for a fixed config and seed.
     """
-    if not model.frozen and not all(
-        n.startswith("head.") for n, _ in model.trainable_params()
-    ):
-        raise ContractError("model must be frozen before adaptation (head may stay trainable)")
-    _check_dims(model, prompts)
-    if model.config.np_dtype != config.np_dtype:
-        raise ContractError(
-            f"config dtype {config.dtype} does not match model dtype {model.config.dtype}"
-        )
+    if not model.frozen:
+        raise ContractError("model must be frozen before adaptation")
+    _check_dims(model, prompts, train_set, eval_set)
     history = RunHistory()
     if config.steps == 0:
         return prompts, history
 
-    refs = prompts.param_refs() + model.param_refs("head")
+    refs = prompts.param_refs()
     if not refs:
         raise ContractError("nothing to train: every prompt tensor is frozen")
     opt = AdamW(refs, weight_decay=config.weight_decay)
@@ -371,7 +369,6 @@ def train(
         lr_now = {
             "scpp": warmup_lr(config.lr_scpp, step, config.warmup_steps),
             "scap": warmup_lr(config.lr_scap, step, config.warmup_steps),
-            "head": warmup_lr(config.lr_head, step, config.warmup_steps),
         }
         opt.step(grads, lr_now)
         value = float(loss.data)

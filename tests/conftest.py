@@ -24,25 +24,6 @@ DESK_RECIPE = {
 }
 
 
-def numerics_fingerprint() -> str:
-    """sha256 of the logits of one fixed forward pass on a fixed random init.
-
-    Any change to the bits the forward computes changes this digest.
-    """
-    import numpy as np
-
-    from accept.backbone import BackboneConfig, BackboneModel
-
-    config = BackboneConfig()
-    model = BackboneModel.random_init(config, seed=0)
-    tokens = np.random.default_rng(0).integers(
-        1, config.vocab_size, size=(8, config.max_len)
-    )
-    e, mask = model.embed_batch(tokens.tolist())
-    logits = model.forward(model.assemble_input(e, mask))
-    return hashlib.sha256(logits.data.tobytes()).hexdigest()
-
-
 @pytest.fixture(scope="session")
 def desk_backbone(request, tmp_path_factory):
     """(model, source_accuracy_report) for the pretrained frozen backbone."""
@@ -50,6 +31,7 @@ def desk_backbone(request, tmp_path_factory):
         BackboneConfig,
         BackboneModel,
         PretrainConfig,
+        numerics_fingerprint,
         pretrain_backbone,
     )
     from accept.tasks import gen_task

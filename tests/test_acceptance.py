@@ -246,7 +246,7 @@ def test_criterion_5_pt_degeneracy():
 
     cfg = RunConfig(
         steps=200, batch_size=8, warmup_steps=20, eval_interval=50,
-        lr_scpp=0.1, seed=3, dtype="f64",
+        lr_scpp=0.1, seed=3,
     )
     _, hist_f = train(cfg, model, factorized, train_set, eval_set)
     _, hist_d = train(cfg, model, direct, train_set, eval_set)

@@ -73,47 +73,39 @@ def test_position_rows_distinct():
 
 def test_embed_gathers_and_pads():
     model = tiny_model()
-    rows, mask = model.embed([5, 7])
+    rows, mask = model.embed_batch([[5, 7], [8]])
     emb = model.params["emb"].data
-    assert rows.shape == (8, 16)
-    assert np.array_equal(rows.data[0], emb[5])
-    assert np.array_equal(rows.data[1], emb[7])
+    assert rows.shape == (2, 8, 16)
+    assert np.array_equal(rows.data[0, 0], emb[5])
+    assert np.array_equal(rows.data[0, 1], emb[7])
+    assert np.array_equal(rows.data[1, 0], emb[8])
     # Padding rows carry the padding embedding and are masked out.
-    assert np.array_equal(rows.data[2], emb[PAD_ID])
-    assert mask.tolist() == [True, True] + [False] * 6
+    assert np.array_equal(rows.data[0, 2], emb[PAD_ID])
+    assert np.array_equal(rows.data[1, 1], emb[PAD_ID])
+    assert mask.tolist() == [[True, True] + [False] * 6, [True] + [False] * 7]
 
 
 def test_embed_truncates_to_max_len():
     model = tiny_model()
-    rows, mask = model.embed(list(range(6, 6 + 12)))
-    assert rows.shape == (8, 16)
+    rows, mask = model.embed_batch([list(range(6, 6 + 12))])
+    assert rows.shape == (1, 8, 16)
     assert mask.all()
-    assert np.array_equal(rows.data[-1], model.params["emb"].data[13])
+    assert np.array_equal(rows.data[0, -1], model.params["emb"].data[13])
 
 
 def test_embed_rejects_out_of_vocab():
     model = tiny_model()
     with pytest.raises(VocabError, match="32"):
-        model.embed([31, 32])
+        model.embed_batch([[6], [31, 32]])
     with pytest.raises(VocabError):
-        model.embed([-1])
+        model.embed_batch([[-1]])
 
 
 def test_embed_empty_is_all_padding():
     model = tiny_model()
-    rows, mask = model.embed([])
+    rows, mask = model.embed_batch([[]])
     assert not mask.any()
-    assert np.array_equal(rows.data, model.params["emb"].data[[PAD_ID] * 8])
-
-
-def test_embed_batch_matches_single():
-    model = tiny_model()
-    rows, mask = model.embed_batch([[6, 7], [8]])
-    r0, m0 = model.embed([6, 7])
-    r1, m1 = model.embed([8])
-    assert np.array_equal(rows.data[0], r0.data)
-    assert np.array_equal(rows.data[1], r1.data)
-    assert np.array_equal(mask, np.stack([m0, m1]))
+    assert np.array_equal(rows.data[0], model.params["emb"].data[[PAD_ID] * 8])
 
 
 # -- assemble -----------------------------------------------------------------
@@ -121,27 +113,29 @@ def test_embed_batch_matches_single():
 
 def test_assemble_prepends_prompt_rows():
     model = tiny_model()
-    e, mask = model.embed([6, 7, 8])
+    e, mask = model.embed_batch([[6, 7, 8], [9]])
     P = T.Tensor(np.full((2, 16), 0.5))
     asm = model.assemble_input(e, mask, prompt=P)
-    assert asm.values.shape == (10, 16)
+    assert asm.values.shape == (2, 10, 16)
     assert asm.prompt_len == 2
-    assert np.array_equal(asm.values.data[:2], P.data)
-    assert asm.mask[:2].tolist() == [True, True]
-    assert np.array_equal(asm.values.data[2:], e.data)
+    for b in range(2):
+        assert np.array_equal(asm.values.data[b, :2], P.data)
+        assert asm.mask[b, :2].tolist() == [True, True]
+    assert np.array_equal(asm.values.data[:, 2:], e.data)
+    assert np.array_equal(asm.mask[:, 2:], mask)
 
 
 def test_assemble_without_added_keeps_token_rows():
     model = tiny_model()
-    e, mask = model.embed([6, 7, 8])
+    e, mask = model.embed_batch([[6, 7, 8]])
     asm = model.assemble_input(e, mask, prompt=T.Tensor(np.zeros((1, 16))))
-    assert np.array_equal(asm.values.data[1:], e.data)
+    assert np.array_equal(asm.values.data[:, 1:], e.data)
 
 
 def test_assemble_adds_to_every_grid_position():
     # The added prompt shifts padding rows too; masking hides them later.
     model = tiny_model()
-    e, mask = model.embed([6, 7])
+    e, mask = model.embed_batch([[6, 7], [8]])
     Q = T.Tensor(np.arange(8 * 16, dtype=np.float64).reshape(8, 16))
     asm = model.assemble_input(e, mask, added=Q)
     assert asm.prompt_len == 0
@@ -150,13 +144,18 @@ def test_assemble_adds_to_every_grid_position():
 
 def test_assemble_shape_errors():
     model = tiny_model()
-    e, mask = model.embed([6, 7])
+    e, mask = model.embed_batch([[6, 7]])
     with pytest.raises(AssemblyError):
         model.assemble_input(e, mask, prompt=T.Tensor(np.zeros((2, 8))))
     with pytest.raises(AssemblyError):
         model.assemble_input(e, mask, added=T.Tensor(np.zeros((4, 16))))
     with pytest.raises(AssemblyError):
-        model.assemble_input(e, mask[:4])
+        model.assemble_input(e, mask[:, :4])
+    # One example's (s, d) rows are not a batch.
+    with pytest.raises(AssemblyError):
+        model.assemble_input(T.Tensor(e.data[0]), mask[0])
+    with pytest.raises(AssemblyError):
+        model.forward(AssembledInput(values=T.Tensor(e.data[0]), mask=mask[0], prompt_len=0))
 
 
 # -- forward -------------------------------------------------------------------
@@ -164,21 +163,18 @@ def test_assemble_shape_errors():
 
 def test_logits_shape_single_and_batch():
     model = tiny_model()
-    e, mask = model.embed([6, 7, 8])
-    out = model.forward(model.assemble_input(e, mask))
-    assert out.shape == (2,)
-    eb, mb = model.embed_batch([[6, 7], [9, 10, 11]])
-    outb = model.forward(model.assemble_input(eb, mb))
-    assert outb.shape == (2, 2)
+    assert model.logits([[6, 7, 8]]).shape == (1, 2)
+    assert model.logits([[6, 7], [9, 10, 11]]).shape == (2, 2)
 
 
-def test_single_equals_batch_row():
+def test_logits_compose_embed_assemble_forward():
     model = tiny_model()
-    eb, mb = model.embed_batch([[6, 7, 8], [9]])
-    outb = model.forward(model.assemble_input(eb, mb))
-    e, m = model.embed([6, 7, 8])
-    out = model.forward(model.assemble_input(e, m))
-    assert np.allclose(out.data, outb.data[0], atol=1e-12)
+    toks = [[6, 7], [9, 10, 11]]
+    P = T.Tensor(np.full((2, 16), 0.5))
+    Q = T.Tensor(np.linspace(-1.0, 1.0, 8 * 16).reshape(8, 16))
+    e, mask = model.embed_batch(toks)
+    ref = model.forward(model.assemble_input(e, mask, prompt=P, added=Q))
+    assert np.array_equal(model.logits(toks, prompt=P, added=Q).data, ref.data)
 
 
 def test_permuting_padding_rows_leaves_logits_unchanged():
@@ -199,7 +195,7 @@ def test_assembly_linearity_shift_between_e_and_added():
     # forward depends on the added prompt only through e + Q.
     model = tiny_model()
     rng = np.random.default_rng(0)
-    e, mask = model.embed([6, 7, 8, 9])
+    e, mask = model.embed_batch([[6, 7, 8, 9]])
     Q = rng.normal(size=(8, 16))
     delta = rng.normal(size=(8, 16))
     out1 = model.forward(model.assemble_input(e, mask, added=T.Tensor(Q)))
@@ -223,7 +219,7 @@ def test_position_grid_skips_prompt_rows():
 
 def test_forward_rejects_bad_prompt_len():
     model = tiny_model()
-    e, mask = model.embed([6, 7])
+    e, mask = model.embed_batch([[6, 7]])
     asm = model.assemble_input(e, mask)
     bad = AssembledInput(values=asm.values, mask=asm.mask, prompt_len=99)
     with pytest.raises(AssemblyError):
@@ -232,14 +228,14 @@ def test_forward_rejects_bad_prompt_len():
 
 def test_forward_rejects_all_padding_example():
     model = tiny_model()
-    e, mask = model.embed([])
+    e, mask = model.embed_batch([[6, 7], []])
     with pytest.raises(AssemblyError, match="pool"):
         model.forward(model.assemble_input(e, mask))
 
 
 def test_non_finite_activation_names_layer():
     model = tiny_model()
-    e, mask = model.embed([6, 7])
+    e, mask = model.embed_batch([[6, 7]])
     # Row mean overflows to inf inside the first norm, leaving NaN rows.
     huge = T.Tensor(np.full((2, 16), 1e308))
     with np.errstate(over="ignore", invalid="ignore"):
@@ -336,14 +332,6 @@ def test_freeze_marks_everything():
     assert model.trainable_params() == []
 
 
-def test_freeze_can_spare_head():
-    model = BackboneModel.random_init(TINY, seed=0)
-    model.freeze(head_trainable=True)
-    names = [n for n, _ in model.trainable_params()]
-    assert names == ["head.b", "head.w"]
-    assert not model.frozen
-
-
 def test_freeze_preserves_values():
     model = BackboneModel.random_init(TINY, seed=0)
     before = {n: t.data.copy() for n, t in model.params.items()}
@@ -393,11 +381,8 @@ def test_save_load_round_trip(tmp_path):
     assert back.config == cfg
     assert back.hash_params() == model.hash_params()
     assert back.frozen
-    e, mask = back.embed([6, 7])
-    out = back.forward(back.assemble_input(e, mask))
-    e2, mask2 = model.embed([6, 7])
-    ref = model.forward(model.assemble_input(e2, mask2))
-    assert np.array_equal(out.data, ref.data)
+    toks = [[6, 7], [8, 9, 10]]
+    assert np.array_equal(back.logits(toks).data, model.logits(toks).data)
 
 
 def test_save_rejects_f64(tmp_path):

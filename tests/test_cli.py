@@ -310,6 +310,23 @@ def test_eval_accepts_inline_dataset(tmp_path, tiny_backbone_dir, capsys):
     assert main(["eval", "--run-dir", str(rd), "--dataset", ds]) == 0
 
 
+def test_eval_refuses_a_different_backbone(tmp_path, tiny_backbone_dir, capsys):
+    cfg = write_config(tmp_path, base_config(tiny_backbone_dir))
+    assert main(["train", cfg, "--runs-dir", str(tmp_path / "runs")]) == 0
+    rd = next((tmp_path / "runs").iterdir())
+    capsys.readouterr()
+    assert main(["eval", "--run-dir", str(rd)]) == 0
+    untouched = capsys.readouterr().out
+    assert main(["eval", "--run-dir", str(rd)]) == 0
+    assert capsys.readouterr().out == untouched
+    summary_path = rd / "summary.json"
+    summary = json.loads(summary_path.read_text())
+    summary["backbone_hash"] = "0" * 64
+    summary_path.write_text(json.dumps(summary))
+    assert main(["eval", "--run-dir", str(rd)]) == 2
+    assert "backbone" in capsys.readouterr().err
+
+
 def test_report_aggregates_summaries(tmp_path, tiny_backbone_dir, capsys):
     runs = str(tmp_path / "runs")
     for seed in (1, 2):
@@ -578,6 +595,26 @@ def test_inline_backbone_cache_round_trip(tmp_path, capsys):
     assert h1 == h2
 
 
+def test_inline_backbone_cache_is_keyed_on_the_recipe(tmp_path):
+    from accept.experiments import parse_backbone
+
+    def recipe(seed, cache):
+        backbone = dict(inline_config()["backbone"])
+        backbone["pretrain"] = {**backbone["pretrain"], "seed": seed}
+        if cache:
+            backbone["cache_dir"] = str(tmp_path / "cc")
+        return backbone
+
+    seed0 = parse_backbone(recipe(0, cache=True)).hash_params()
+    assert (tmp_path / "cc" / "recipe.json").exists()
+    assert parse_backbone(recipe(0, cache=True)).hash_params() == seed0
+    fresh = parse_backbone(recipe(1, cache=False)).hash_params()
+    assert fresh != seed0
+    assert parse_backbone(recipe(1, cache=True)).hash_params() == fresh
+    # The cache now holds seed 1, so seed 0 pretrains again.
+    assert parse_backbone(recipe(0, cache=True)).hash_params() == seed0
+
+
 def test_config_requires_some_prompt_component(tmp_path, tiny_backbone_dir, capsys):
     spec = base_config(tiny_backbone_dir)
     del spec["scpp"]
@@ -589,6 +626,33 @@ def test_config_rejects_mismatched_class_counts(tmp_path, tiny_backbone_dir, cap
     spec = base_config(tiny_backbone_dir)
     spec["eval_set"] = {"kind": "count-regression", "n": 32, "length": 6,
                         "vocab_size": 32, "seed": 6}
+    cfg = write_config(tmp_path, spec)
+    assert main(["train", cfg, "--runs-dir", str(tmp_path / "runs")]) == 2
+
+
+@pytest.mark.parametrize(
+    "dataset",
+    [
+        {"kind": "count-regression", "n": 32, "length": 6, "vocab_size": 32, "seed": 6},
+        {"kind": "majority", "n": 32, "length": 6, "vocab_size": 64, "seed": 6},
+    ],
+    ids=["regression-on-2-class-head", "vocab-64-on-vocab-32-model"],
+)
+def test_config_rejects_datasets_the_model_cannot_read(
+    tmp_path, tiny_backbone_dir, capsys, dataset
+):
+    spec = base_config(tiny_backbone_dir, train_set=dataset, eval_set=dataset)
+    cfg = write_config(tmp_path, spec)
+    assert main(["train", cfg, "--runs-dir", str(tmp_path / "runs")]) == 2
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize(
+    "removed", [{"dtype": "f32"}, {"lr_head": 1e-3}], ids=["dtype", "lr_head"]
+)
+def test_config_rejects_removed_run_fields(tmp_path, tiny_backbone_dir, capsys, removed):
+    spec = base_config(tiny_backbone_dir)
+    spec["run"].update(removed)
     cfg = write_config(tmp_path, spec)
     assert main(["train", cfg, "--runs-dir", str(tmp_path / "runs")]) == 2
 

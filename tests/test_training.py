@@ -121,15 +121,6 @@ def test_train_rejects_unfrozen_model():
         train(quick_cfg(), model, fresh_prompts(), tiny_task(), tiny_task(1))
 
 
-def test_train_allows_trainable_head():
-    model = BackboneModel.random_init(TINY32, seed=0)
-    model.freeze(head_trainable=True)
-    head_before = model.params["head.w"].data.copy()
-    _, history = train(quick_cfg(), model, fresh_prompts(), tiny_task(), tiny_task(1))
-    assert len(history.records) == 2
-    assert not np.array_equal(model.params["head.w"].data, head_before)
-
-
 def test_train_rejects_dim_mismatch():
     model = frozen_model()
     bad = PromptSet(prepended=DirectPrompt(Tensor(np.zeros((2, 8), np.float32), trainable=True)))
@@ -263,7 +254,7 @@ def test_one_hot_frozen_weights_reproduce_direct_prompt_tuning():
     ).data.copy()
     direct = PromptSet(prepended=DirectPrompt(Tensor(p0, trainable=True, dtype=np.float64)))
 
-    cfg = quick_cfg(steps=50, eval_interval=50, dtype="f64", lr_scpp=0.1)
+    cfg = quick_cfg(steps=50, eval_interval=50, lr_scpp=0.1)
     data, heldout = tiny_task(seed=9, n=64), tiny_task(seed=10, n=32)
     _, hist_f = train(cfg, model, factorized, data, heldout)
     _, hist_d = train(cfg, model, direct, data, heldout)
@@ -365,6 +356,15 @@ def test_evaluate_regression_head():
     )
     score = evaluate(model, prompts, data, "pearson")
     assert np.isfinite(score)
+
+
+def test_evaluate_rejects_dataset_the_model_cannot_read():
+    model = frozen_model()  # 2 classes, vocab 16
+    prompts = fresh_prompts()
+    with pytest.raises(ContractError, match="classes"):
+        evaluate(model, prompts, gen_task("count-regression", n=8, length=6, vocab_size=16, seed=1))
+    with pytest.raises(ContractError, match="vocab_size"):
+        evaluate(model, prompts, gen_task("majority", n=8, length=6, vocab_size=32, seed=1))
 
 
 def test_evaluate_is_deterministic():
