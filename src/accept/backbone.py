@@ -334,15 +334,12 @@ class BackboneModel:
         m = int(assembled.prompt_len)
         x = T.add(vals, Tensor(self.position_grid(s, m), dtype=cfg.np_dtype))
 
-        bias = np.where(mask, 0.0, _MASK_BIAS).astype(cfg.np_dtype)  # (B, s) keys
-        bias_full = np.broadcast_to(
-            bias[:, None, None, :], (bsz, cfg.heads, s, s)
-        ).copy()
-        bias_t = Tensor(bias_full, dtype=cfg.np_dtype)
+        # Additive key mask, (B, 1, 1, s), broadcast over heads and queries.
+        bias = np.where(mask, 0.0, _MASK_BIAS).astype(cfg.np_dtype)[:, None, None, :]
 
         for i in range(cfg.layers):
             try:
-                x = self._block(x, i, bias_t, bsz, s)
+                x = T.checked_block(self._block, x, i, bias, bsz, s)
             except T.NonFiniteError as err:
                 raise T.NonFiniteError(f"layer {i}: {err}") from None
         x = T.layer_norm(x, self.params["lnf.g"], self.params["lnf.b"])
@@ -354,7 +351,7 @@ class BackboneModel:
         pooled = T.masked_mean_rows(x, pool_mask)
         return T.add(T.matmul(pooled, self.params["head.w"]), self.params["head.b"])
 
-    def _block(self, x: Tensor, i: int, bias_t: Tensor, bsz: int, s: int) -> Tensor:
+    def _block(self, x: Tensor, i: int, bias: np.ndarray, bsz: int, s: int) -> Tensor:
         cfg = self.config
         p = self.params
         hd = cfg.head_dim
@@ -367,7 +364,7 @@ class BackboneModel:
         k = heads(T.add(T.matmul(pre, p[f"layer{i}.attn.wk"]), p[f"layer{i}.attn.bk"]))
         v = heads(T.add(T.matmul(pre, p[f"layer{i}.attn.wv"]), p[f"layer{i}.attn.bv"]))
         scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(hd))
-        probs = T.softmax(T.add(scores, bias_t))
+        probs = T.softmax(scores, bias)
         ctx = T.reshape(T.transpose(T.matmul(probs, v), (0, 2, 1, 3)), (bsz, s, cfg.d))
         attn = T.add(T.matmul(ctx, p[f"layer{i}.attn.wo"]), p[f"layer{i}.attn.bo"])
         x = T.add(x, attn)

@@ -15,6 +15,7 @@ from .backbone import ArchitectureError, VocabError
 from .checkpoint import CheckpointFormatError
 from .experiments import (
     ConfigError,
+    finished_summaries,
     load_config,
     parse_dataset,
     resolve_experiment,
@@ -221,7 +222,7 @@ def cmd_report(args) -> int:
     if not root.exists():
         raise ConfigError(f"runs directory {root} does not exist")
     rows = []
-    for summary_path in sorted(root.glob("*/summary.json")):
+    for summary_path in finished_summaries(root):
         data = json.loads(summary_path.read_text(encoding="utf-8"))
         rows.append(
             (

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import shutil
 import time
 from dataclasses import asdict, dataclass, replace
 from multiprocessing import get_context
@@ -67,6 +68,7 @@ __all__ = [
     "write_csv",
     "read_csv_rows",
     "runs_root_from_env",
+    "finished_summaries",
 ]
 
 
@@ -377,18 +379,22 @@ def _run_resolved(spec: dict, resolved: ResolvedExperiment, runs_root) -> RunRes
         resolved.model, prompts, resolved.eval_set, resolved.run_config.metric
     )
 
-    run_dir.mkdir(parents=True, exist_ok=True)
-    (run_dir / "config.json").write_text(
+    # Write into a hidden sibling and move it over run_dir only once
+    # summary.json exists, so an interrupted run never looks finished.
+    tmp_dir = run_dir.with_name(f".{run_id}.tmp-{os.getpid()}")
+    shutil.rmtree(tmp_dir, ignore_errors=True)
+    tmp_dir.mkdir(parents=True)
+    (tmp_dir / "config.json").write_text(
         json.dumps(spec, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
     write_csv(
-        run_dir / "history.csv",
+        tmp_dir / "history.csv",
         ["step", "train_loss", "eval_metric"],
         [(r.step, r.train_loss, r.eval_metric) for r in history.records],
     )
     # Persist the best prompts when the run is factorized end to end;
     # a direct component exists only for baseline comparisons.
-    best_dir = run_dir / "best"
+    best_dir = tmp_dir / "best"
     can_persist = all(
         isinstance(comp, FactorizedPrompt) for _, comp in prompts.components()
     )
@@ -421,10 +427,30 @@ def _run_resolved(spec: dict, resolved: ResolvedExperiment, runs_root) -> RunRes
         "wall_time_s": wall,
         "created_unix": time.time(),
     }
-    (run_dir / "summary.json").write_text(
+    (tmp_dir / "summary.json").write_text(
         json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
+    _replace_dir(tmp_dir, run_dir)
     return RunResult(run_id=run_id, run_dir=run_dir, history=history, summary=summary)
+
+
+def finished_summaries(runs_root) -> list[Path]:
+    """summary.json of every finished run under runs_root, in run_id order.
+
+    Hidden directories are the temporary siblings of unfinished runs.
+    """
+    paths = sorted(Path(runs_root).glob("*/summary.json"))
+    return [p for p in paths if not p.parent.name.startswith(".")]
+
+
+def _replace_dir(src: Path, dest: Path) -> None:
+    """Rename src to dest; an existing dest is first renamed aside, then deleted."""
+    old = dest.with_name(f".{dest.name}.old-{os.getpid()}")
+    shutil.rmtree(old, ignore_errors=True)
+    if dest.exists():
+        dest.rename(old)
+    src.rename(dest)
+    shutil.rmtree(old, ignore_errors=True)
 
 
 # -- granularity sweep ----------------------------------------------------------------

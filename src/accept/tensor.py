@@ -7,7 +7,10 @@ the toy transformer actually uses are supported (leading batch dims and a
 trailing bias vector); anything else is rejected loudly.
 
 Every forward op verifies its output is finite, so NaN/Inf surfaces at the
-op that produced it rather than three layers downstream.
+op that produced it rather than three layers downstream.  Inside
+``checked_block`` the per-op scans are deferred to one scan of the block's
+output; a non-finite result re-runs the block with every op checking, so
+the error still names the op that produced it.
 """
 from __future__ import annotations
 
@@ -24,6 +27,7 @@ __all__ = [
     "grad_check",
     "GradCheckReport",
     "make_op",
+    "checked_block",
     "matmul",
     "add",
     "mul",
@@ -64,6 +68,31 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
         raise NonFiniteError(f"{op}: produced non-finite values")
 
 
+# True only while checked_block runs a block's deferred pass.
+_defer_checks = False
+
+
+def checked_block(fn, *args) -> "Tensor":
+    """Run ``fn(*args)`` with one finite check of its output, not one per op.
+
+    If the output is non-finite, or an op raised NonFiniteError during the
+    deferred pass, ``fn`` runs again with every op checking its output, so
+    the error names the op that produced the first NaN/Inf.
+    """
+    global _defer_checks
+    prev = _defer_checks
+    _defer_checks = True
+    try:
+        out = fn(*args)
+        if np.all(np.isfinite(out.data)):
+            return out
+    except NonFiniteError:
+        pass
+    finally:
+        _defer_checks = prev
+    return fn(*args)
+
+
 class Tensor:
     """Immutable node in an acyclic computation graph.
 
@@ -97,7 +126,8 @@ class Tensor:
         arr = np.asarray(data)
         if not arr.flags["C_CONTIGUOUS"]:
             arr = np.ascontiguousarray(arr)
-        _check_finite(arr, name)
+        if not _defer_checks:
+            _check_finite(arr, name)
         arr.flags.writeable = False
         obj = cls.__new__(cls)
         obj.data = arr
@@ -292,12 +322,29 @@ def gelu(a: Tensor) -> Tensor:
     return Tensor._wrap(out, (a,), backward_fn, "gelu")
 
 
-def softmax(a: Tensor) -> Tensor:
-    """Numerically stable softmax over the last axis."""
+def softmax(a: Tensor, bias=None) -> Tensor:
+    """Numerically stable softmax over the last axis of ``a + bias``.
+
+    ``bias`` is an optional constant numpy array (no gradient) that
+    broadcasts to ``a.shape``, such as an additive (B, 1, 1, s) key mask.
+    The input is checked even inside ``checked_block``: a -inf entry maps
+    to a finite probability of 0 and would pass the block's output check.
+    """
     _require_tensor(a, "softmax")
-    z = a.data - a.data.max(axis=-1, keepdims=True)
-    e = np.exp(z)
-    out = e / e.sum(axis=-1, keepdims=True)
+    if not np.all(np.isfinite(a.data)):
+        raise NonFiniteError("softmax: input has non-finite values")
+    x = a.data
+    if bias is not None:
+        bias = np.asarray(bias, dtype=a.dtype)
+        pairs = zip(reversed(bias.shape), reversed(a.shape))
+        if bias.ndim > a.ndim or any(k not in (1, n) for k, n in pairs):
+            raise ShapeError(f"softmax: bias {bias.shape} does not broadcast to {a.shape}")
+        x = x + bias
+    # exp and the division run in place: each (B, H, s, s) temporary
+    # costs a fresh allocation and a memory pass.
+    out = x - x.max(axis=-1, keepdims=True)
+    np.exp(out, out=out)
+    out /= out.sum(axis=-1, keepdims=True)
 
     def backward_fn(g: np.ndarray):
         dot = (g * out).sum(axis=-1, keepdims=True)
@@ -393,7 +440,7 @@ def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:
     def backward_fn(g: np.ndarray):
         return (g.reshape(a.shape),)
 
-    return Tensor._wrap(out.copy(), (a,), backward_fn, "reshape")
+    return Tensor._wrap(out, (a,), backward_fn, "reshape")
 
 
 def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:

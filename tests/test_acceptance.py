@@ -292,6 +292,7 @@ def test_criterion_6_frozen_backbone_hash():
 # -- criterion 7: desk-scale learning at matched budget ------------------------------
 
 
+@pytest.mark.slow
 def test_criterion_7_desk_scale_learning(desk_backbone, desk_task):
     model, source_report = desk_backbone
     train_set, test_set = desk_task

@@ -239,8 +239,11 @@ def test_non_finite_activation_names_layer():
     # Row mean overflows to inf inside the first norm, leaving NaN rows.
     huge = T.Tensor(np.full((2, 16), 1e308))
     with np.errstate(over="ignore", invalid="ignore"):
-        with pytest.raises(T.NonFiniteError, match="layer 0"):
+        with pytest.raises(T.NonFiniteError, match="layer 0: layer_norm"):
             model.forward(model.assemble_input(e, mask, prompt=huge))
+    # The failed forward restored per-op checks for direct op calls.
+    with np.errstate(over="ignore"), pytest.raises(T.NonFiniteError, match="scale"):
+        T.scale(T.Tensor(np.array([1e308])), 1e10)
 
 
 def test_forward_deterministic():

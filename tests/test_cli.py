@@ -6,6 +6,7 @@ pretrained once per module and cached on disk; configs reference the
 cache through the inline-backbone path to exercise config resolution.
 """
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -339,6 +340,48 @@ def test_report_aggregates_summaries(tmp_path, tiny_backbone_dir, capsys):
     lines = capsys.readouterr().out.strip().split("\n")
     assert lines[0].startswith("run_id,")
     assert len(lines) == 3
+
+
+def test_interrupted_rerun_leaves_finished_run_intact(tmp_path, tiny_backbone_dir, capsys, monkeypatch):
+    import accept.experiments as experiments
+
+    runs = tmp_path / "runs"
+    cfg = write_config(tmp_path, base_config(tiny_backbone_dir))
+    assert main(["train", cfg, "--runs-dir", str(runs)]) == 0
+    run_dir = runs / run_id_for(base_config(tiny_backbone_dir))
+
+    def snapshot():
+        return {p.relative_to(run_dir): p.read_bytes() for p in run_dir.rglob("*") if p.is_file()}
+
+    first = snapshot()
+    # Mark the old run so that a file rewritten by the re-run would show.
+    (run_dir / "history.csv").write_text("old run\n", encoding="utf-8")
+    before = snapshot()
+    capsys.readouterr()
+    assert main(["report", "--runs-dir", str(runs)]) == 0
+    report = capsys.readouterr().out
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(experiments, "save_checkpoint", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        main(["train", cfg, "--runs-dir", str(runs)])
+    assert snapshot() == before
+    # A process killed after writing summary.json but before the rename.
+    leftover = runs / f".{run_dir.name}.tmp-1"
+    leftover.mkdir()
+    (leftover / "summary.json").write_bytes(before[Path("summary.json")])
+    capsys.readouterr()
+    assert main(["report", "--runs-dir", str(runs)]) == 0
+    assert capsys.readouterr().out == report
+
+    monkeypatch.undo()
+    assert main(["train", cfg, "--runs-dir", str(runs)]) == 0
+    after = snapshot()
+    assert after.keys() == first.keys()
+    assert all(after[k] == first[k] for k in first if k != Path("summary.json"))
+    assert not list(runs.glob(".*.old-*"))
 
 
 def test_report_missing_root_exits_2(tmp_path, capsys):

@@ -128,12 +128,37 @@ def test_tensor_data_is_immutable():
         out.data[0] = 5.0
     with pytest.raises(ValueError):
         a.data[0] = 5.0
+    m = T.Tensor(np.arange(6.0).reshape(2, 3))
+    before = m.data.tobytes()
+    for view in (T.reshape(m, (3, 2)), T.transpose(m, (1, 0))):
+        with pytest.raises(ValueError):
+            view.data[0, 0] = 5.0
+    assert m.data.tobytes() == before
 
 
 def test_non_finite_forward_raises():
     big = T.Tensor(np.array([1e308]))
     with np.errstate(over="ignore"), pytest.raises(T.NonFiniteError):
         T.scale(big, 1e10)
+
+
+def test_softmax_input_checked_while_block_checks_are_deferred():
+    def block(t):
+        # scale's -inf output goes unchecked here; softmax must still refuse it.
+        with pytest.raises(T.NonFiniteError, match="softmax"):
+            T.softmax(T.scale(t, 1e10))
+        return t
+
+    with np.errstate(over="ignore"):
+        T.checked_block(block, T.Tensor(np.array([-1e308, 0.0])))
+
+
+def test_checked_block_names_the_op_behind_a_non_finite_output():
+    def block(t):
+        return T.add(T.scale(t, 1e10), t)
+
+    with np.errstate(over="ignore"), pytest.raises(T.NonFiniteError, match="^scale: "):
+        T.checked_block(block, T.Tensor(np.array([1e308])))
 
 
 def test_non_finite_leaf_rejected():
@@ -211,6 +236,8 @@ def test_primitive_gradients_match_fd(seed):
     rng = np.random.default_rng(seed)
     B, s, d = 2, 3, 4
     mse_target = rng.normal(size=(6,))
+    # Additive key mask: one masked key per example.
+    key_bias = np.array([[0.0, -1e9, 0.0], [0.0, 0.0, -1e9]])[:, None, None, :]
 
     cases = [
         (
@@ -254,6 +281,10 @@ def test_primitive_gradients_match_fd(seed):
             lambda t: T.mean_all(T.mul(T.softmax(t["a"]), T.softmax(t["a"]))),
         ),
         (
+            {"a": rng.normal(size=(B, 2, s, s)), "w": rng.normal(size=(B, 2, s, s))},
+            lambda t: T.sum_all(T.mul(T.softmax(t["a"], key_bias), t["w"])),
+        ),
+        (
             {
                 "x": rng.normal(size=(B, s, d)),
                 "g": 1.0 + 0.1 * rng.normal(size=(d,)),
@@ -294,6 +325,29 @@ def test_primitive_gradients_match_fd(seed):
     ]
     for arrays, build in cases:
         check_op_grads(build, arrays)
+
+
+@pytest.mark.parametrize("dtype", [np.float32, np.float64])
+def test_softmax_key_bias_zeroes_masked_keys(dtype):
+    rng = np.random.default_rng(0)
+    keep = np.array([[True, False, True, True], [False, True, True, False]])
+    bias = np.where(keep, 0.0, -1e9).astype(dtype)[:, None, None, :]
+    a = T.Tensor(rng.normal(size=(2, 3, 4, 4)).astype(dtype))
+    probs = T.softmax(a, bias).data
+    # Same bits as adding the materialized (B, H, s, s) mask first.
+    full = T.add(a, T.Tensor(np.broadcast_to(bias, a.shape)))
+    assert probs.tobytes() == T.softmax(full).data.tobytes()
+    masked = np.broadcast_to(~keep[:, None, None, :], probs.shape)
+    assert probs.dtype == dtype
+    assert np.all(probs[masked] == 0.0)
+    assert np.allclose(probs.sum(axis=-1), 1.0)
+
+
+@pytest.mark.parametrize("bias_shape", [(2, 3, 4), (1, 2, 1, 4), (3,)])
+def test_softmax_rejects_bias_that_does_not_broadcast_to_input(bias_shape):
+    a = T.Tensor(np.zeros((2, 1, 4)))
+    with pytest.raises(T.ShapeError, match="softmax"):
+        T.softmax(a, np.zeros(bias_shape))
 
 
 def test_float32_gradients_within_loose_tolerance():
