@@ -246,15 +246,20 @@ class BackboneModel:
         return out
 
     def embed_batch(self, token_seqs) -> tuple[Tensor, np.ndarray]:
-        """Batch of examples -> ((B, max_len, d) rows, (B, max_len) mask)."""
-        seqs = list(token_seqs)
-        if not seqs:
+        """Batch of examples -> ((B, L, d) rows, (B, L) mask).
+
+        Each example is cut at max_len, and the batch is padded to its
+        longest example: L = max(1, longest length).  So an example's
+        padded width depends on its batch-mates; the batch fixes it, so
+        it stays deterministic, and padding rows never reach real rows.
+        """
+        rows = [self._check_ids(seq)[: self.config.max_len] for seq in token_seqs]
+        if not rows:
             raise AssemblyError("embed_batch needs at least one sequence")
-        l = self.config.max_len
-        ids = np.full((len(seqs), l), PAD_ID, dtype=np.int64)
-        mask = np.zeros((len(seqs), l), dtype=bool)
-        for b, seq in enumerate(seqs):
-            row = self._check_ids(seq)[:l]
+        l = max(1, max(len(row) for row in rows))
+        ids = np.full((len(rows), l), PAD_ID, dtype=np.int64)
+        mask = np.zeros((len(rows), l), dtype=bool)
+        for b, row in enumerate(rows):
             ids[b, : len(row)] = row
             mask[b, : len(row)] = True
         return T.gather_rows(self.params["emb"], ids), mask
@@ -266,25 +271,29 @@ class BackboneModel:
         prompt: Tensor | None = None,
         added: Tensor | None = None,
     ) -> AssembledInput:
-        """Combine (B, s, d) token rows with optional prepended/added prompts.
+        """Combine (B, L, d) token rows with optional prepended/added prompts.
 
-        added must match one example's token grid (max_len, d) and is
-        summed onto every example's token rows; prompt is (m, d) and is
-        prepended (replicated across the batch), extending the mask with
-        m attendable rows.
+        added is the full token grid (max_len, d); its first L rows are
+        summed onto every example's token rows, L being the batch's padded
+        width from embed_batch.  prompt is (m, d) and is prepended
+        (replicated across the batch), extending the mask with m
+        attendable rows.
         """
-        if e.ndim != 3 or e.shape[-1] != self.config.d:
-            raise AssemblyError(f"token rows must be (B, s, {self.config.d}), got {e.shape}")
+        cfg = self.config
+        if e.ndim != 3 or e.shape[-1] != cfg.d or e.shape[1] > cfg.max_len:
+            raise AssemblyError(
+                f"token rows must be (B, L <= {cfg.max_len}, {cfg.d}), got {e.shape}"
+            )
         mask = np.asarray(mask, dtype=bool)
         if mask.shape != e.shape[:-1]:
             raise AssemblyError(f"mask shape {mask.shape} does not match rows {e.shape}")
         vals = e
         if added is not None:
-            if added.shape != e.shape[-2:]:
+            if added.shape != (cfg.max_len, cfg.d):
                 raise AssemblyError(
-                    f"added prompt must be shape {e.shape[-2:]}, got {added.shape}"
+                    f"added prompt must be shape {(cfg.max_len, cfg.d)}, got {added.shape}"
                 )
-            vals = T.add(vals, added)
+            vals = T.add(vals, T.leading_rows(added, e.shape[1]))
         m = 0
         if prompt is not None:
             if prompt.ndim != 2 or prompt.shape[1] != self.config.d:
@@ -409,14 +418,22 @@ class BackboneModel:
 
 
 def numerics_fingerprint() -> str:
-    """sha256 of the logits of one fixed forward pass on a fixed random init.
+    """sha256 of the logits of fixed forward passes on a fixed random init.
 
-    Any change to the bits the forward computes changes this digest.
+    Any change to the bits the forward computes changes this digest.  The
+    batches are full-length, short and mixed-length, so a change to how
+    wide a batch is padded changes it too.
     """
     config = BackboneConfig()
     model = BackboneModel.random_init(config, seed=0)
-    tokens = np.random.default_rng(0).integers(1, config.vocab_size, size=(8, config.max_len))
-    return hashlib.sha256(model.logits(tokens.tolist()).data.tobytes()).hexdigest()
+    rng = np.random.default_rng(0)
+    tokens = rng.integers(1, config.vocab_size, size=(8, config.max_len)).tolist()
+    short = [row[:7] for row in tokens]
+    mixed = [row[: 1 + 3 * i] for i, row in enumerate(tokens)]
+    h = hashlib.sha256()
+    for batch in (tokens, short, mixed):
+        h.update(model.logits(batch).data.tobytes())
+    return h.hexdigest()
 
 
 # -- pretraining -------------------------------------------------------------

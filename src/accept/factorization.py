@@ -22,7 +22,7 @@ __all__ = [
     "PartitionError",
     "DimensionError",
     "InitError",
-    "ScaleSpec",
+    "TARGET_STD",
     "PromptDims",
     "Codebook",
     "WeightSet",
@@ -47,6 +47,10 @@ class DimensionError(ValueError):
 
 class InitError(ValueError):
     """Random initialization failed its construction-time scale check."""
+
+
+# Standard deviation that init_random aims each composed prompt entry at.
+TARGET_STD = 0.1
 
 
 def validate_partition(d: int, K: int) -> int:
@@ -93,13 +97,6 @@ def codeword_capacity(r: int, K: int) -> int:
     if r < 0 or K < 1:
         raise ValueError(f"codeword_capacity: invalid r={r}, K={K}")
     return int(r) ** int(K)
-
-
-@dataclass(frozen=True)
-class ScaleSpec:
-    """Target standard deviation for composed prompt entries."""
-
-    target_std: float = 0.1
 
 
 @dataclass(frozen=True)
@@ -227,24 +224,18 @@ def compose(codebook: Codebook, weights: WeightSet) -> Tensor:
     return make_op(out, (C, W), backward_fn, "compose")
 
 
-def init_random(
-    dims: PromptDims,
-    seed,
-    scale_spec: ScaleSpec = ScaleSpec(),
-    dtype=np.float32,
-) -> tuple[Codebook, WeightSet]:
+def init_random(dims: PromptDims, seed, dtype=np.float32) -> tuple[Codebook, WeightSet]:
     """Gaussian initialization with a predictable composed scale.
 
-    Codewords are drawn N(0, target_std^2) and weights N(0, 1/r), so each
+    Codewords are drawn N(0, TARGET_STD^2) and weights N(0, 1/r), so each
     composed entry is a sum of r independent products with total variance
-    r * (1/r) * target_std^2 = target_std^2.  The composed standard
+    r * (1/r) * TARGET_STD^2 = TARGET_STD^2.  The composed standard
     deviation is measured at construction and must land within 2x of
-    target_std (skipped for tiny prompts where the estimate is noise).
+    TARGET_STD (skipped for tiny prompts where the estimate is noise).
 
     Args:
         dims: component dimensions (positions, d, K, r).
         seed: anything np.random.default_rng accepts.
-        scale_spec: target composed scale.
         dtype: float32 for training, float64 for gradient checks.
 
     Returns:
@@ -252,7 +243,7 @@ def init_random(
     """
     rng = np.random.default_rng(seed)
     t = dims.t
-    c = rng.normal(0.0, scale_spec.target_std, size=(dims.K, dims.r, t))
+    c = rng.normal(0.0, TARGET_STD, size=(dims.K, dims.r, t))
     w = rng.normal(0.0, 1.0 / np.sqrt(dims.r), size=(dims.positions, dims.K, dims.r))
     codebook = Codebook(Tensor(c.astype(dtype), trainable=True, name="codebook"))
     weights = WeightSet(Tensor(w.astype(dtype), trainable=True, name="weights"))
@@ -262,11 +253,11 @@ def init_random(
     # prompts; tiny ones skip the check rather than fail it spuriously.
     if composed.size >= 256:
         std = float(composed.std())
-        lo, hi = scale_spec.target_std / 2.0, scale_spec.target_std * 2.0
+        lo, hi = TARGET_STD / 2.0, TARGET_STD * 2.0
         if not (lo <= std <= hi):
             raise InitError(
                 f"composed prompt std {std:.4g} outside [{lo:.4g}, {hi:.4g}] "
-                f"for target_std={scale_spec.target_std}"
+                f"for TARGET_STD={TARGET_STD}"
             )
     return codebook, weights
 

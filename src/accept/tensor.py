@@ -37,6 +37,7 @@ __all__ = [
     "layer_norm",
     "gather_rows",
     "concat_rows",
+    "leading_rows",
     "reshape",
     "transpose",
     "expand_leading",
@@ -431,6 +432,21 @@ def concat_rows(a: Tensor, b: Tensor) -> Tensor:
         return ga, gb
 
     return Tensor._wrap(out, (a, b), backward_fn, "concat_rows")
+
+
+def leading_rows(a: Tensor, n: int) -> Tensor:
+    """The first n rows along the sequence axis (second to last), as a view."""
+    _require_tensor(a, "leading_rows")
+    if a.ndim < 2 or not 1 <= n <= a.shape[-2]:
+        raise ShapeError(f"leading_rows: cannot take {n} rows of {a.shape}")
+    out = a.data[..., :n, :]
+
+    def backward_fn(g: np.ndarray):
+        buf = np.zeros(a.shape, dtype=a.dtype)
+        buf[..., :n, :] = g
+        return (buf,)
+
+    return Tensor._wrap(out, (a,), backward_fn, "leading_rows")
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:

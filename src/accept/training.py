@@ -318,10 +318,11 @@ def evaluate(
 ) -> float:
     """Metric of the current prompts over a whole dataset, deterministically."""
     _check_dims(model, prompts, dataset)
+    rows = prompts.rows()
     preds = []
     for start in range(0, len(dataset), batch_size):
         chunk = dataset.examples[start : start + batch_size]
-        logits = model.logits([ex.tokens for ex in chunk], *prompts.rows())
+        logits = model.logits([ex.tokens for ex in chunk], *rows)
         if dataset.num_classes == 1:
             preds.extend(np.asarray(logits.data).reshape(-1).tolist())
         else:

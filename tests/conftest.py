@@ -24,17 +24,40 @@ DESK_RECIPE = {
 }
 
 
+def pretrain_desk_backbone(seed: int):
+    """(frozen model, source accuracy report) of the desk recipe, pretrain seed overridden."""
+    from accept.backbone import BackboneConfig, PretrainConfig, pretrain_backbone
+    from accept.tasks import gen_task
+
+    config = BackboneConfig()
+    maj = DESK_RECIPE["majority"]
+    pm = DESK_RECIPE["pair_match"]
+    datasets = [
+        gen_task("majority", n=maj["n"], length=maj["length"],
+                 vocab_size=config.vocab_size, seed=maj["seed"]),
+        gen_task("pair-match", n=pm["n"], length=pm["length"],
+                 vocab_size=pm["vocab_size"], seed=pm["seed"]),
+    ]
+    pre = PretrainConfig(**{**DESK_RECIPE["pretrain"], "seed": seed})
+    return pretrain_backbone(config, datasets, pre)
+
+
+def desk_pair_match():
+    """(train, test): fresh pair-match instances, disjoint seeds from the pretrain mixture."""
+    from accept.tasks import gen_task
+
+    pm = DESK_RECIPE["pair_match"]
+    train = gen_task("pair-match", n=1024, length=pm["length"],
+                     vocab_size=pm["vocab_size"], seed=500)
+    test = gen_task("pair-match", n=512, length=pm["length"],
+                    vocab_size=pm["vocab_size"], seed=501, split="test")
+    return train, test
+
+
 @pytest.fixture(scope="session")
 def desk_backbone(request, tmp_path_factory):
     """(model, source_accuracy_report) for the pretrained frozen backbone."""
-    from accept.backbone import (
-        BackboneConfig,
-        BackboneModel,
-        PretrainConfig,
-        numerics_fingerprint,
-        pretrain_backbone,
-    )
-    from accept.tasks import gen_task
+    from accept.backbone import BackboneModel, numerics_fingerprint
 
     cache = getattr(request.config, "cache", None)  # None under -p no:cacheprovider
     if cache is None:
@@ -50,18 +73,7 @@ def desk_backbone(request, tmp_path_factory):
         report = json.loads(report_path.read_text(encoding="utf-8"))
         return model, report
 
-    config = BackboneConfig()
-    maj = DESK_RECIPE["majority"]
-    pm = DESK_RECIPE["pair_match"]
-    datasets = [
-        gen_task("majority", n=maj["n"], length=maj["length"],
-                 vocab_size=config.vocab_size, seed=maj["seed"]),
-        gen_task("pair-match", n=pm["n"], length=pm["length"],
-                 vocab_size=pm["vocab_size"], seed=pm["seed"]),
-    ]
-    model, report = pretrain_backbone(
-        config, datasets, PretrainConfig(**DESK_RECIPE["pretrain"])
-    )
+    model, report = pretrain_desk_backbone(DESK_RECIPE["pretrain"]["seed"])
     model.save(cache_dir)
     report_path.write_text(json.dumps(report), encoding="utf-8")
     return model, report
@@ -70,11 +82,4 @@ def desk_backbone(request, tmp_path_factory):
 @pytest.fixture(scope="session")
 def desk_task():
     """Fresh pair-match instances, disjoint seeds from the pretrain mixture."""
-    from accept.tasks import gen_task
-
-    pm = DESK_RECIPE["pair_match"]
-    train = gen_task("pair-match", n=1024, length=pm["length"],
-                     vocab_size=pm["vocab_size"], seed=500)
-    test = gen_task("pair-match", n=512, length=pm["length"],
-                    vocab_size=pm["vocab_size"], seed=501, split="test")
-    return train, test
+    return desk_pair_match()

@@ -292,12 +292,12 @@ def test_criterion_6_frozen_backbone_hash():
 # -- criterion 7: desk-scale learning at matched budget ------------------------------
 
 
-@pytest.mark.slow
-def test_criterion_7_desk_scale_learning(desk_backbone, desk_task):
-    model, source_report = desk_backbone
-    train_set, test_set = desk_task
-    assert min(source_report.values()) >= 0.9, source_report
+def criterion_7_scores(model, train_set, test_set, seeds=(0, 1, 2)):
+    """Best test accuracy per seed, factorized and plain prompt tuning.
 
+    Returns (factorized scores, plain scores, factorized budget, plain
+    budget); the margin script under scripts/ runs the same protocol.
+    """
     d = model.config.d
     pt_rows = 16
     pt_budget = pt_rows * d  # 1024
@@ -328,9 +328,21 @@ def test_criterion_7_desk_scale_learning(desk_backbone, desk_task):
         _, hist = train(cfg, model, prompts, train_set, test_set)
         return hist.best.metric
 
-    seeds = (0, 1, 2)
     accept_scores = [run_accept(s) for s in seeds]
     vanilla_scores = [run_vanilla(s) for s in seeds]
+    return accept_scores, vanilla_scores, accept_budget, pt_budget
+
+
+@pytest.mark.slow
+def test_criterion_7_desk_scale_learning(desk_backbone, desk_task):
+    model, source_report = desk_backbone
+    train_set, test_set = desk_task
+    assert min(source_report.values()) >= 0.9, source_report
+
+    seeds = (0, 1, 2)
+    accept_scores, vanilla_scores, accept_budget, pt_budget = criterion_7_scores(
+        model, train_set, test_set, seeds
+    )
     wins = sum(sc >= 0.95 for sc in accept_scores)
     side_by_side = ", ".join(
         f"seed {s}: factorized {a:.4f} / vanilla {v:.4f}"

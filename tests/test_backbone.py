@@ -11,6 +11,7 @@ from accept.backbone import (
     BackboneModel,
     PretrainConfig,
     VocabError,
+    numerics_fingerprint,
     pretrain_backbone,
     sinusoidal_rows,
 )
@@ -73,16 +74,15 @@ def test_position_rows_distinct():
 
 def test_embed_gathers_and_pads():
     model = tiny_model()
-    rows, mask = model.embed_batch([[5, 7], [8]])
+    rows, mask = model.embed_batch([[5, 7, 9], [8]])
     emb = model.params["emb"].data
-    assert rows.shape == (2, 8, 16)
-    assert np.array_equal(rows.data[0, 0], emb[5])
-    assert np.array_equal(rows.data[0, 1], emb[7])
+    # Padded to the batch's longest example, not to max_len 8.
+    assert rows.shape == (2, 3, 16)
+    assert np.array_equal(rows.data[0], emb[[5, 7, 9]])
     assert np.array_equal(rows.data[1, 0], emb[8])
     # Padding rows carry the padding embedding and are masked out.
-    assert np.array_equal(rows.data[0, 2], emb[PAD_ID])
-    assert np.array_equal(rows.data[1, 1], emb[PAD_ID])
-    assert mask.tolist() == [[True, True] + [False] * 6, [True] + [False] * 7]
+    assert np.array_equal(rows.data[1, 1:], emb[[PAD_ID] * 2])
+    assert mask.tolist() == [[True, True, True], [True, False, False]]
 
 
 def test_embed_truncates_to_max_len():
@@ -103,9 +103,11 @@ def test_embed_rejects_out_of_vocab():
 
 def test_embed_empty_is_all_padding():
     model = tiny_model()
-    rows, mask = model.embed_batch([[]])
+    # An all-empty batch still gets one (padding) row per example.
+    rows, mask = model.embed_batch([[], []])
+    assert mask.shape == (2, 1)
     assert not mask.any()
-    assert np.array_equal(rows.data[0], model.params["emb"].data[[PAD_ID] * 8])
+    assert np.array_equal(rows.data[:, 0], model.params["emb"].data[[PAD_ID] * 2])
 
 
 # -- assemble -----------------------------------------------------------------
@@ -116,7 +118,7 @@ def test_assemble_prepends_prompt_rows():
     e, mask = model.embed_batch([[6, 7, 8], [9]])
     P = T.Tensor(np.full((2, 16), 0.5))
     asm = model.assemble_input(e, mask, prompt=P)
-    assert asm.values.shape == (2, 10, 16)
+    assert asm.values.shape == (2, 5, 16)
     assert asm.prompt_len == 2
     for b in range(2):
         assert np.array_equal(asm.values.data[b, :2], P.data)
@@ -133,13 +135,14 @@ def test_assemble_without_added_keeps_token_rows():
 
 
 def test_assemble_adds_to_every_grid_position():
-    # The added prompt shifts padding rows too; masking hides them later.
+    # Grid row j shifts token row j of every example, padding rows too
+    # (masking hides them later); rows past the batch width go unused.
     model = tiny_model()
-    e, mask = model.embed_batch([[6, 7], [8]])
+    e, mask = model.embed_batch([[6, 7, 8], [8]])
     Q = T.Tensor(np.arange(8 * 16, dtype=np.float64).reshape(8, 16))
     asm = model.assemble_input(e, mask, added=Q)
     assert asm.prompt_len == 0
-    assert np.array_equal(asm.values.data, e.data + Q.data)
+    assert np.array_equal(asm.values.data, e.data + Q.data[:3])
 
 
 def test_assemble_shape_errors():
@@ -147,10 +150,16 @@ def test_assemble_shape_errors():
     e, mask = model.embed_batch([[6, 7]])
     with pytest.raises(AssemblyError):
         model.assemble_input(e, mask, prompt=T.Tensor(np.zeros((2, 8))))
+    # added is the whole (max_len, d) grid, not just the batch's width.
+    for rows in (2, 4):
+        with pytest.raises(AssemblyError):
+            model.assemble_input(e, mask, added=T.Tensor(np.zeros((rows, 16))))
     with pytest.raises(AssemblyError):
-        model.assemble_input(e, mask, added=T.Tensor(np.zeros((4, 16))))
+        model.assemble_input(e, mask[:, :1])
+    # Token rows wider than max_len cannot be assembled.
+    wide = T.Tensor(np.zeros((1, 9, 16)))
     with pytest.raises(AssemblyError):
-        model.assemble_input(e, mask[:, :4])
+        model.assemble_input(wide, np.ones((1, 9), dtype=bool))
     # One example's (s, d) rows are not a batch.
     with pytest.raises(AssemblyError):
         model.assemble_input(T.Tensor(e.data[0]), mask[0])
@@ -181,12 +190,13 @@ def test_permuting_padding_rows_leaves_logits_unchanged():
     model = tiny_model()
     dims = PromptDims(positions=3, d=16, K=2, r=2)
     C, W = init_random(dims, seed=3, dtype=np.float64)
-    e, mask = model.embed_batch([[6, 7], [8, 9, 10]])
+    e, mask = model.embed_batch([[6], [8, 9, 10, 11]])
     asm = model.assemble_input(e, mask, prompt=compose(C, W))
     ref = model.forward(asm).data
     vals = asm.values.data.copy()
-    # Example 0: 3 prompt rows + 2 tokens, so rows 5.. are padding.
-    vals[0, 6], vals[0, 9] = vals[0, 9].copy(), vals[0, 6].copy()
+    # Example 0: 3 prompt rows + 1 token, so rows 4..6 are padding.
+    assert asm.mask[0].tolist() == [True] * 4 + [False] * 3
+    vals[0, 4], vals[0, 6] = vals[0, 6].copy(), vals[0, 4].copy()
     swapped = AssembledInput(values=T.Tensor(vals), mask=asm.mask, prompt_len=3)
     assert np.array_equal(model.forward(swapped).data, ref)
 
@@ -195,11 +205,12 @@ def test_assembly_linearity_shift_between_e_and_added():
     # forward depends on the added prompt only through e + Q.
     model = tiny_model()
     rng = np.random.default_rng(0)
-    e, mask = model.embed_batch([[6, 7, 8, 9]])
+    e, mask = model.embed_batch([[6, 7, 8, 9], [10]])
     Q = rng.normal(size=(8, 16))
     delta = rng.normal(size=(8, 16))
     out1 = model.forward(model.assemble_input(e, mask, added=T.Tensor(Q)))
-    e_shift = T.add(e, T.Tensor(delta))
+    # Grid rows past the batch width (4 here) do not reach e + Q.
+    e_shift = T.add(e, T.Tensor(delta[:4]))
     out2 = model.forward(model.assemble_input(e_shift, mask, added=T.Tensor(Q - delta)))
     assert np.allclose(out1.data, out2.data, atol=1e-6)
 
@@ -231,6 +242,56 @@ def test_forward_rejects_all_padding_example():
     e, mask = model.embed_batch([[6, 7], []])
     with pytest.raises(AssemblyError, match="pool"):
         model.forward(model.assemble_input(e, mask))
+    with pytest.raises(AssemblyError, match="no real token rows to pool"):
+        model.logits([[], []])
+
+
+@pytest.mark.parametrize("dtype", ["f32", "f64"])
+def test_trimmed_logits_match_padding_to_max_len(dtype):
+    # Padding a batch only to its longest example moves float rounding,
+    # not the result: compare with the same input hand-padded to max_len.
+    cfg = BackboneConfig(d=16, layers=2, heads=2, vocab_size=32, max_len=8, dtype=dtype)
+    model = BackboneModel.random_init(cfg, seed=3)
+    model.freeze()
+    rng = np.random.default_rng(1)
+    P = T.Tensor(rng.normal(0.0, 0.1, size=(3, 16)), dtype=cfg.np_dtype)
+    Q = T.Tensor(rng.normal(0.0, 0.1, size=(8, 16)), dtype=cfg.np_dtype)
+    toks = [[6], [8, 9, 10, 11], [12, 13]]
+    e, mask = model.embed_batch(toks)
+    assert e.shape[1] == 4
+    ids = np.full((3, 8), PAD_ID)
+    for b, row in enumerate(toks):
+        ids[b, : len(row)] = row
+    e_full = T.gather_rows(model.params["emb"], ids)
+    full = model.forward(model.assemble_input(e_full, ids != PAD_ID, prompt=P, added=Q))
+    trimmed = model.logits(toks, prompt=P, added=Q)
+    assert np.allclose(trimmed.data, full.data, rtol=0.0, atol=1e-6)
+
+
+def test_numerics_fingerprint_sees_padding_width(monkeypatch):
+    # A backbone cache keyed on the fingerprint must not survive a change
+    # of padding width, which moves float rounding but no shapes outside.
+    trimmed = numerics_fingerprint()
+    embed = BackboneModel.embed_batch
+
+    def embed_to_max_len(self, token_seqs):
+        e, mask = embed(self, token_seqs)
+        extra = self.config.max_len - mask.shape[1]
+        pad = T.gather_rows(self.params["emb"], np.full((mask.shape[0], extra), PAD_ID))
+        return T.concat_rows(e, pad), np.pad(mask, ((0, 0), (0, extra)))
+
+    monkeypatch.setattr(BackboneModel, "embed_batch", embed_to_max_len)
+    assert numerics_fingerprint() != trimmed
+
+
+def test_added_rows_past_batch_width_get_zero_gradient():
+    model = tiny_model()
+    Q = T.Tensor(np.random.default_rng(2).normal(size=(8, 16)), trainable=True)
+    loss = T.softmax_cross_entropy(model.logits([[6], [8, 9, 10]], added=Q), np.array([0, 1]))
+    g = T.backward(loss)[Q]
+    assert g.shape == (8, 16)
+    assert np.all(g[3:] == 0.0)
+    assert np.all(np.linalg.norm(g[:3], axis=1) > 0)
 
 
 def test_non_finite_activation_names_layer():

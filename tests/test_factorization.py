@@ -197,19 +197,18 @@ def test_init_random_deterministic():
 @pytest.mark.parametrize("seed", range(8))
 def test_init_random_composed_scale(seed):
     dims = F.PromptDims(positions=60, d=768, K=24, r=20)
-    spec = F.ScaleSpec(target_std=0.1)
-    cb, ws = F.init_random(dims, seed=seed, scale_spec=spec, dtype=np.float64)
+    cb, ws = F.init_random(dims, seed=seed, dtype=np.float64)
     std = float(F.compose(cb, ws).data.std())
-    assert spec.target_std / 2 <= std <= spec.target_std * 2
+    assert F.TARGET_STD / 2 <= std <= F.TARGET_STD * 2
 
 
 def test_init_random_variance_derivation():
     # Sum of r independent products: var = r * (1/r) * target^2, so the
     # composed std should estimate target closely at large sample sizes.
     dims = F.PromptDims(positions=200, d=256, K=8, r=16)
-    cb, ws = F.init_random(dims, seed=0, scale_spec=F.ScaleSpec(0.25), dtype=np.float64)
+    cb, ws = F.init_random(dims, seed=0, dtype=np.float64)
     std = float(F.compose(cb, ws).data.std())
-    assert abs(std - 0.25) / 0.25 < 0.1
+    assert abs(std - F.TARGET_STD) / F.TARGET_STD < 0.1
 
 
 def test_init_random_dtype():

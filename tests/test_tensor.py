@@ -309,6 +309,10 @@ def test_primitive_gradients_match_fd(seed):
             lambda t: T.mean_all(T.gelu(T.expand_leading(t["a"], 3))),
         ),
         (
+            {"a": rng.normal(size=(s + 2, d)), "b": rng.normal(size=(B, s, d))},
+            lambda t: T.mean_all(T.gelu(T.add(t["b"], T.leading_rows(t["a"], s)))),
+        ),
+        (
             {"x": rng.normal(size=(B, s, d))},
             lambda t: T.sum_all(
                 T.masked_mean_rows(t["x"], np.array([[True, False, True], [True, True, True]]))
