@@ -23,8 +23,8 @@ import numpy as np
 
 from . import tensor as T
 from .checkpoint import CheckpointFormatError, read_fragment, write_fragment
-from .optim import AdamW, ParamRef, TrainingError, warmup_lr
-from .tasks import N_TASK_SLOTS, PAD_ID, TASK_SLOT_BASE, Dataset
+from .optim import AdamW, ParamRef, TrainingError, warmup_decay_lr
+from .tasks import N_TASK_SLOTS, PAD_ID, TASK_SLOT_BASE, Dataset, gen_task
 from .tensor import Tensor
 
 __all__ = [
@@ -418,11 +418,13 @@ class BackboneModel:
 
 
 def numerics_fingerprint() -> str:
-    """sha256 of the logits of fixed forward passes on a fixed random init.
+    """sha256 of fixed forward passes and of a tiny fixed pretraining run.
 
     Any change to the bits the forward computes changes this digest.  The
     batches are full-length, short and mixed-length, so a change to how
-    wide a batch is padded changes it too.
+    wide a batch is padded changes it too.  The tiny run goes past its
+    warmup, so a change to the backward pass, the optimizer or the
+    pretraining schedule changes it as well.
     """
     config = BackboneConfig()
     model = BackboneModel.random_init(config, seed=0)
@@ -433,6 +435,10 @@ def numerics_fingerprint() -> str:
     h = hashlib.sha256()
     for batch in (tokens, short, mixed):
         h.update(model.logits(batch).data.tobytes())
+    tiny = BackboneConfig(d=8, layers=1, heads=2, vocab_size=16, max_len=8)
+    source = gen_task("majority", n=16, length=6, vocab_size=16, seed=0)
+    pre = PretrainConfig(steps=4, batch_size=4, warmup=2, eval_examples=4)
+    h.update(pretrain_backbone(tiny, [source], pre)[0].hash_params().encode("ascii"))
     return h.hexdigest()
 
 
@@ -479,8 +485,11 @@ def pretrain_backbone(
     """Train a fresh backbone on a task mixture, then freeze it.
 
     Each source task is cued by its own steering row so the network learns
-    to read instructions from a prefix.  Returns the frozen model and a
-    per-task accuracy report measured after freezing.
+    to read instructions from a prefix.  The learning rate warms up
+    linearly, then decays linearly towards 0 by the last step, so the
+    frozen weights are a settled iterate, not a full-rate snapshot.
+    Returns the frozen model and a per-task accuracy report measured
+    after freezing.
     """
     pre = pre or PretrainConfig()
     if not 1 <= len(datasets) <= N_TASK_SLOTS:
@@ -514,7 +523,7 @@ def pretrain_backbone(
             grads = T.backward(loss)
         except T.NonFiniteError as err:
             raise TrainingError(f"pretraining diverged at step {step}: {err}") from None
-        opt.step(grads, {"backbone": warmup_lr(pre.lr, step, pre.warmup)})
+        opt.step(grads, {"backbone": warmup_decay_lr(pre.lr, step, pre.warmup, pre.steps)})
 
     model.freeze()
     report = {

@@ -11,7 +11,7 @@ import numpy as np
 
 from .tensor import Tensor
 
-__all__ = ["ParamRef", "AdamW", "warmup_lr", "TrainingError"]
+__all__ = ["ParamRef", "AdamW", "warmup_lr", "warmup_decay_lr", "TrainingError"]
 
 
 class TrainingError(ArithmeticError):
@@ -29,6 +29,18 @@ def warmup_lr(base: float, step: int, warmup: int) -> float:
     if warmup <= 0:
         return base
     return base * min(1.0, step / warmup)
+
+
+def warmup_decay_lr(base: float, step: int, warmup: int, total: int) -> float:
+    """Linear warmup as in warmup_lr, then linear decay towards 0.
+
+    After step == warmup the rate falls by base / (total - warmup + 1) per
+    step, so the last step (step == total) still moves the parameters and
+    a run ends on a settled iterate rather than a full-rate one.
+    """
+    if step <= warmup:
+        return warmup_lr(base, step, warmup)
+    return base * (total + 1 - step) / (total + 1 - warmup)
 
 
 class ParamRef:

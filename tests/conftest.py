@@ -1,11 +1,11 @@
 """Shared fixtures.
 
 The desk-scale backbone used by the learning tests is pretrained once per
-session (about two minutes of CPU) and cached under pytest's cache
-directory, keyed by the recipe and by a fingerprint of the forward pass's
-float bits, so repeated sessions skip the wait but a change to the numerics
-pretrains afresh.  Without the cache plugin it is pretrained into a session
-temp directory.  Tests that only need tiny models build their own and never
+session (about 20 s of CPU) and cached under pytest's cache directory,
+keyed by the recipe and by a fingerprint of the float bits of the forward
+pass and of pretraining, so repeated sessions skip the wait but a change
+to the numerics pretrains afresh.  Without the cache plugin it is
+pretrained into a session temp directory.  Tests that only need tiny models build their own and never
 touch this fixture.
 """
 import hashlib

@@ -284,6 +284,20 @@ def test_numerics_fingerprint_sees_padding_width(monkeypatch):
     assert numerics_fingerprint() != trimmed
 
 
+def test_numerics_fingerprint_sees_pretrain_schedule(monkeypatch):
+    # Caches of pretrained backbones are keyed on the fingerprint, so a
+    # schedule that no longer decays must change it, although no forward
+    # bit moves.
+    import accept.backbone as B
+    from accept.optim import warmup_lr
+
+    decayed = numerics_fingerprint()
+    monkeypatch.setattr(
+        B, "warmup_decay_lr", lambda base, step, warmup, total: warmup_lr(base, step, warmup)
+    )
+    assert numerics_fingerprint() != decayed
+
+
 def test_added_rows_past_batch_width_get_zero_gradient():
     model = tiny_model()
     Q = T.Tensor(np.random.default_rng(2).normal(size=(8, 16)), trainable=True)

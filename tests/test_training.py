@@ -13,7 +13,7 @@ from accept.factorization import (
     init_random,
     one_hot_weights,
 )
-from accept.optim import TrainingError, warmup_lr
+from accept.optim import TrainingError, warmup_decay_lr, warmup_lr
 from accept.tasks import gen_task
 from accept.training import (
     BestRecord,
@@ -67,6 +67,17 @@ def test_warmup_is_exactly_linear():
     assert warmup_lr(0.4, 5, 0) == 0.4
     with pytest.raises(ValueError):
         warmup_lr(0.4, 0, 120)
+
+
+def test_warmup_decay_ramps_then_falls_linearly_to_a_last_nonzero_step():
+    for s in range(1, 101):
+        assert warmup_decay_lr(5e-3, s, 100, 2500) == warmup_lr(5e-3, s, 100)
+    assert warmup_decay_lr(5e-3, 101, 100, 2500) == 5e-3 * 2400 / 2401
+    assert warmup_decay_lr(5e-3, 2500, 100, 2500) == 5e-3 / 2401
+    rates = [warmup_decay_lr(5e-3, s, 100, 2500) for s in range(100, 2501)]
+    assert all(a > b > 0.0 for a, b in zip(rates, rates[1:]))
+    # A run no longer than its warmup never decays.
+    assert warmup_decay_lr(2e-3, 5, 100, 5) == warmup_lr(2e-3, 5, 100)
 
 
 # -- config validation -----------------------------------------------------------
