@@ -172,7 +172,6 @@ def cmd_sweep_granularity(args) -> int:
         runs_root=runs_root_from_env(args.runs_dir),
         complement=args.complement,
         positions=args.positions,
-        jobs=args.jobs,
     )
     _notes(notes)
     _emit(["t", "K", "r", "params", "total_params", "metric"], rows, args.out)
@@ -185,7 +184,6 @@ def cmd_ablate(args) -> int:
         spec,
         axes=args.axes,
         runs_root=runs_root_from_env(args.runs_dir),
-        jobs=args.jobs,
     )
     _notes(notes)
     _emit(["cell", "params_prepended", "params_added", "params_total", "metric"], rows, args.out)
@@ -211,7 +209,6 @@ def cmd_length_sweep(args) -> int:
         spec,
         lengths=args.lengths,
         runs_root=runs_root_from_env(args.runs_dir),
-        jobs=args.jobs,
     )
     _emit(["m", "metric", "relative_wall_time"], rows, args.out)
     return 0
@@ -253,10 +250,6 @@ def cmd_report(args) -> int:
 
 def _add_runs_dir(p: argparse.ArgumentParser) -> None:
     p.add_argument("--runs-dir", default=None, help="output root (default $ACCEPT_RUNS_DIR or ./runs)")
-
-
-def _add_jobs(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--jobs", type=int, default=1, help="parallel sweep cells")
 
 
 def _add_out(p: argparse.ArgumentParser) -> None:
@@ -302,7 +295,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--positions", type=int, default=None)
     p.add_argument("--config", default=None)
     _add_runs_dir(p)
-    _add_jobs(p)
     _add_out(p)
     p.set_defaults(func=cmd_sweep_granularity)
 
@@ -311,7 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--axes", type=lambda s: s.split(","), default=["pp", "lc", "ps", "ap"],
                    help="comma-separated toggles from pp,lc,ps,ap")
     _add_runs_dir(p)
-    _add_jobs(p)
     _add_out(p)
     p.set_defaults(func=cmd_ablate)
 
@@ -326,7 +317,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("config")
     p.add_argument("--lengths", type=_int_list, required=True)
     _add_runs_dir(p)
-    _add_jobs(p)
     _add_out(p)
     p.set_defaults(func=cmd_length_sweep)
 

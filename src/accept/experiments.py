@@ -3,9 +3,17 @@
 A JSON experiment config names a backbone (checkpoint path or an inline
 pretraining recipe), train/eval datasets (generator parameters or JSONL
 paths), the prompt components with their parameter budgets, the run
-schedule, and the initialization strategy.  Every run lands in its own
-directory keyed by a hash of the resolved config, holding config.json,
-history.csv, a best/ prompt checkpoint, and summary.json.
+schedule, the initialization strategy, and optionally a few-shot subset
+of the train set.  Every run lands in its own directory keyed by a hash
+of the resolved config, holding config.json, history.csv, a best/ prompt
+checkpoint, and summary.json.
+
+The multi-run verbs (granularity sweep, ablation grid, few-shot protocol,
+length sweep) resolve the backbone and datasets once, write each cell as
+an ordinary config (`_cell_spec`), resolve every cell before the first
+one trains, and then train the cells one after another in this process
+(`_run_cells` -> `_run_resolved`).  `accept train` on a cell's
+config.json reproduces that cell.
 
 CSV bodies are byte-reproducible for a fixed config and seed: floats are
 written with repr (shortest round-trip form), rows end with LF, and
@@ -19,8 +27,7 @@ import json
 import os
 import shutil
 import time
-from dataclasses import asdict, dataclass, replace
-from multiprocessing import get_context
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +46,7 @@ from .factorization import (
     validate_partition,
 )
 from .metrics import fewshot_report
-from .tasks import Dataset, FewShotSpec, fewshot_sample, gen_task, load_jsonl
+from .tasks import Dataset, fewshot_sample, gen_task, load_jsonl
 from .tensor import Tensor
 from .training import (
     DirectPrompt,
@@ -261,24 +268,24 @@ def check_budget(plan: PromptPlan, component: str, allow_over: bool) -> None:
 
 @dataclass(frozen=True)
 class SharedInputs:
-    """What every cell of a multi-run verb shares: backbone, data, schedule, init."""
+    """What every cell of a multi-run verb shares: the backbone and the data."""
 
     model: BackboneModel
     train_set: Dataset
     eval_set: Dataset
-    run_config: RunConfig
-    init: InitStrategy
 
 
 @dataclass(frozen=True)
 class ResolvedExperiment(SharedInputs):
+    run_config: RunConfig
+    init: InitStrategy
     scpp: PromptPlan | None
     scap: PromptPlan | None
     direct_prepend: int | None  # row count for a plain prompt-tuning component
 
 
 def resolve_shared(spec: dict) -> SharedInputs:
-    """Resolve everything in spec except its prompt blocks."""
+    """Resolve spec's backbone and datasets, and check its schedule."""
     model = parse_backbone(_require(spec, "backbone", "experiment"))
     train_set = parse_dataset(_require(spec, "train_set", "experiment"), "train_set", "train")
     eval_set = parse_dataset(_require(spec, "eval_set", "experiment"), "eval_set", "eval")
@@ -286,6 +293,11 @@ def resolve_shared(spec: dict) -> SharedInputs:
         raise ConfigError(
             f"train/eval class counts differ: {train_set.num_classes} vs {eval_set.num_classes}"
         )
+    _schedule(spec)  # fails even when a verb ends up with no cells to resolve
+    return SharedInputs(model, train_set, eval_set)
+
+
+def _schedule(spec: dict) -> tuple[RunConfig, InitStrategy]:
     try:
         run_config = RunConfig(**spec.get("run", {}))
     except TypeError as err:
@@ -294,13 +306,20 @@ def resolve_shared(spec: dict) -> SharedInputs:
         init = InitStrategy(**spec.get("init", {"kind": "random"}))
     except TypeError as err:
         raise ConfigError(f"init: {err}") from None
-    return SharedInputs(model, train_set, eval_set, run_config, init)
+    return run_config, init
 
 
 def resolve_prompts(
     spec: dict, shared: SharedInputs, allow_over_budget: bool = False
 ) -> ResolvedExperiment:
-    """Resolve spec's prompt blocks against inputs already resolved."""
+    """Resolve spec's schedule, init, few-shot subset and prompt blocks against `shared`."""
+    run_config, init = _schedule(spec)
+    train_set = shared.train_set
+    if "fewshot" in spec:
+        try:
+            train_set = fewshot_sample(train_set, **spec["fewshot"])
+        except TypeError as err:
+            raise ConfigError(f"fewshot: {err}") from None
     d = shared.model.config.d
     scpp = scap = None
     direct = None
@@ -321,7 +340,9 @@ def resolve_prompts(
             raise ConfigError(f"direct_prepend.m must be >= 1, got {direct}")
     if scpp is None and scap is None and direct is None:
         raise ConfigError("experiment needs at least one of scpp, scap, direct_prepend")
-    return ResolvedExperiment(**vars(shared), scpp=scpp, scap=scap, direct_prepend=direct)
+    return ResolvedExperiment(
+        shared.model, train_set, shared.eval_set, run_config, init, scpp, scap, direct
+    )
 
 
 def resolve_experiment(spec: dict, allow_over_budget: bool = False) -> ResolvedExperiment:
@@ -381,9 +402,7 @@ def _run_resolved(spec: dict, resolved: ResolvedExperiment, runs_root) -> RunRes
 
     # Write into a hidden sibling and move it over run_dir only once
     # summary.json exists, so an interrupted run never looks finished.
-    tmp_dir = run_dir.with_name(f".{run_id}.tmp-{os.getpid()}")
-    shutil.rmtree(tmp_dir, ignore_errors=True)
-    tmp_dir.mkdir(parents=True)
+    tmp_dir = _fresh_tmp_dir(run_dir)
     (tmp_dir / "config.json").write_text(
         json.dumps(spec, sort_keys=True, indent=2) + "\n", encoding="utf-8"
     )
@@ -441,6 +460,14 @@ def finished_summaries(runs_root) -> list[Path]:
     """
     paths = sorted(Path(runs_root).glob("*/summary.json"))
     return [p for p in paths if not p.parent.name.startswith(".")]
+
+
+def _fresh_tmp_dir(dest: Path) -> Path:
+    """An empty hidden sibling of dest, to be moved over it by _replace_dir."""
+    tmp = dest.with_name(f".{dest.name}.tmp-{os.getpid()}")
+    shutil.rmtree(tmp, ignore_errors=True)
+    tmp.mkdir(parents=True)
+    return tmp
 
 
 def _replace_dir(src: Path, dest: Path) -> None:
@@ -502,7 +529,6 @@ def run_sweep_granularity(
     runs_root,
     complement: int = 0,
     positions: int | None = None,
-    jobs: int = 1,
 ) -> tuple[list[tuple], list[str]]:
     """Train one run per granularity; returns (rows, notes).
 
@@ -511,7 +537,6 @@ def run_sweep_granularity(
     """
     if component not in ("scpp", "scap"):
         raise ConfigError(f"component must be scpp or scap, got {component!r}")
-    _check_parallel_backbone(base_spec, jobs)
     shared = resolve_shared(base_spec)
     d = shared.model.config.d
     if component == "scpp":
@@ -528,45 +553,30 @@ def run_sweep_granularity(
             _cell_spec(base_spec, f"granularity-{component}-t{t}", {component: block})
         )
 
-    results = _run_cells(cell_specs, shared, runs_root, jobs)
+    results = _run_cells(cell_specs, shared, runs_root)
     rows = [
         plan + (res.summary["best_metric"],) for plan, res in zip(plan_rows, results)
     ]
     return rows, notes
 
 
-def _cell_spec(base_spec: dict, name: str, blocks: dict) -> dict:
-    """A deep copy of base_spec whose prompt components are exactly `blocks`."""
-    spec = {k: v for k, v in base_spec.items() if k not in ("scpp", "scap", "direct_prepend")}
-    spec.update(blocks)
+_PROMPT_KEYS = ("scpp", "scap", "direct_prepend")
+
+
+def _cell_spec(base_spec: dict, name: str, fields: dict) -> dict:
+    """A deep copy of base_spec whose prompt components are exactly those in
+    `fields`; the other entries of `fields` replace base_spec's."""
+    spec = {k: v for k, v in base_spec.items() if k not in _PROMPT_KEYS}
+    spec.update(fields)
     spec["name"] = name
     return json.loads(json.dumps(spec))
 
 
-def _check_parallel_backbone(base_spec: dict, jobs: int) -> None:
-    """Parallel workers load the backbone from disk, so it must be a path."""
-    backbone = base_spec.get("backbone")
-    if jobs > 1 and not (isinstance(backbone, dict) and "path" in backbone):
-        raise ConfigError("parallel cells require a backbone checkpoint path")
-
-
-def _run_cell(args):
-    spec, runs_root = args
-    return run_experiment(spec, runs_root)
-
-
-def _run_cells(
-    cell_specs: list[dict], shared: SharedInputs, runs_root, jobs: int
-) -> list[RunResult]:
-    """Serial cells run against `shared`; parallel workers each load the backbone."""
-    if jobs <= 1 or len(cell_specs) <= 1:
-        return [
-            _run_resolved(spec, resolve_prompts(spec, shared), runs_root)
-            for spec in cell_specs
-        ]
-    ctx = get_context("spawn")
-    with ctx.Pool(processes=min(jobs, len(cell_specs))) as pool:
-        return pool.map(_run_cell, [(spec, str(runs_root)) for spec in cell_specs])
+def _run_cells(cell_specs: list[dict], shared: SharedInputs, runs_root) -> list[RunResult]:
+    """Resolve every cell against `shared`, so a bad cell fails before any
+    trains, then train them in order."""
+    resolved = [resolve_prompts(spec, shared) for spec in cell_specs]
+    return [_run_resolved(spec, res, runs_root) for spec, res in zip(cell_specs, resolved)]
 
 
 # -- ablation grid ------------------------------------------------------------------------
@@ -579,7 +589,6 @@ def run_ablate(
     base_spec: dict,
     axes: list[str],
     runs_root,
-    jobs: int = 1,
 ) -> tuple[list[tuple], list[str]]:
     """Toggle grid over {learnable codebook, subdivision, added prompts}.
 
@@ -595,7 +604,6 @@ def run_ablate(
         raise ConfigError(f"unknown ablation axes {sorted(bad)}; choose from {sorted(allowed)}")
     if "pp" not in axes:
         raise ConfigError("ablation grid is anchored on prepended prompts; include 'pp'")
-    _check_parallel_backbone(base_spec, jobs)
     shared = resolve_shared(base_spec)
     d = shared.model.config.d
     scpp_block = _require(base_spec, "scpp", "ablate")
@@ -638,7 +646,7 @@ def run_ablate(
         plan.append((cell, params_pp, params_ap, params_pp + params_ap))
         cell_specs.append(_cell_spec(base_spec, f"ablate-{cell}", blocks))
 
-    results = _run_cells(cell_specs, shared, runs_root, jobs)
+    results = _run_cells(cell_specs, shared, runs_root)
     rows = [
         (cell, pp_params, ap_params, total, res.summary["best_metric"])
         for (cell, pp_params, ap_params, total), res in zip(plan, results)
@@ -657,52 +665,55 @@ def run_fewshot(
 ) -> dict:
     """Per-gamma few-shot runs plus mean/std aggregation.
 
-    Re-reads every per-run value out of the written CSV before
-    aggregating, so the summary provably matches the files.
+    Each (gamma, seed index i) is one cell: base_spec with run.seed =
+    base seed + i and a `fewshot` field that names its training subset.
+    A cell's value is its best eval metric, or its final one when it has
+    no best.  Every value is re-read out of the written CSV before
+    aggregating, so the summary provably matches the files.  The CSVs go
+    into a hidden sibling that replaces fewshot-<id>/ once summary.csv
+    exists.
     """
     if num_seeds < 1:
         raise ConfigError(f"need at least one seed, got {num_seeds}")
     if any(g < 1 for g in gammas):
         raise ConfigError(f"gammas must be positive, got {gammas}")
-    resolved = resolve_experiment(base_spec)
-    root = Path(runs_root)
-    sweep_dir = root / f"fewshot-{run_id_for(base_spec)}"
-    sweep_dir.mkdir(parents=True, exist_ok=True)
+    shared = resolve_shared(base_spec)
+    base_seed = _schedule(base_spec)[0].seed
+    prompts = {k: v for k, v in base_spec.items() if k in _PROMPT_KEYS}
+    cell_specs = [
+        _cell_spec(base_spec, f"fewshot-gamma{gamma}-seed{i}", {
+            **prompts,
+            "run": {**base_spec.get("run", {}), "seed": base_seed + i},
+            "fewshot": {"gamma": gamma, "base_seed": base_seed, "seed_index": i},
+        })
+        for gamma in gammas
+        for i in range(num_seeds)
+    ]
+    results = _run_cells(cell_specs, shared, runs_root)
 
-    per_gamma_files = {}
-    for gamma in gammas:
-        spec_seeded = FewShotSpec(
-            gamma=gamma, num_seeds=num_seeds, base_seed=resolved.run_config.seed
-        )
+    sweep_dir = Path(runs_root) / f"fewshot-{run_id_for(base_spec)}"
+    tmp_dir = _fresh_tmp_dir(sweep_dir)
+    for k, gamma in enumerate(gammas):
         rows = []
-        for seed_index in range(num_seeds):
-            subset = fewshot_sample(resolved.train_set, spec_seeded, seed_index)
-            run_cfg = replace(resolved.run_config, seed=resolved.run_config.seed + seed_index)
-            prompts = build_prompts(replace(resolved, run_config=run_cfg, train_set=subset))
-            prompts, history = train(run_cfg, resolved.model, prompts, subset, resolved.eval_set)
-            score = (
-                history.best.metric
-                if history.best is not None
-                else evaluate(resolved.model, prompts, resolved.eval_set, run_cfg.metric)
-            )
-            rows.append((run_cfg.metric, float(score), seed_index))
-        path = sweep_dir / f"gamma{gamma}.csv"
-        write_csv(path, ["metric", "value", "seed"], rows)
-        per_gamma_files[gamma] = path
+        for i, res in enumerate(results[k * num_seeds:(k + 1) * num_seeds]):
+            best = res.summary["best_metric"]
+            value = best if best is not None else res.summary["final_metric"]
+            rows.append((res.summary["metric_name"], value, i))
+        write_csv(tmp_dir / f"gamma{gamma}.csv", ["metric", "value", "seed"], rows)
 
     # Aggregate strictly from what the per-run files say.
     agg_rows = []
     for gamma in gammas:
-        _, raw_rows = read_csv_rows(per_gamma_files[gamma])
+        _, raw_rows = read_csv_rows(tmp_dir / f"gamma{gamma}.csv")
         values = [float(row[1]) for row in raw_rows]
         mean, std = fewshot_report(values)
         agg_rows.append((gamma, mean, std, len(values)))
-    agg_path = sweep_dir / "summary.csv"
-    write_csv(agg_path, ["gamma", "mean", "std", "n_seeds"], agg_rows)
+    write_csv(tmp_dir / "summary.csv", ["gamma", "mean", "std", "n_seeds"], agg_rows)
+    _replace_dir(tmp_dir, sweep_dir)
     return {
         "dir": sweep_dir,
-        "per_gamma": per_gamma_files,
-        "summary": agg_path,
+        "per_gamma": {gamma: sweep_dir / f"gamma{gamma}.csv" for gamma in gammas},
+        "summary": sweep_dir / "summary.csv",
         "rows": agg_rows,
     }
 
@@ -714,7 +725,6 @@ def run_length_sweep(
     base_spec: dict,
     lengths: list[int],
     runs_root,
-    jobs: int = 1,
 ) -> list[tuple]:
     """Metric and relative wall time per prompt length at a fixed budget.
 
@@ -729,7 +739,6 @@ def run_length_sweep(
         raise ConfigError(f"lengths must be >= 0, got {lengths}")
     if len(set(lengths)) != len(lengths):
         raise ConfigError(f"duplicate lengths in {lengths}")
-    _check_parallel_backbone(base_spec, jobs)
     shared = resolve_shared(base_spec)
     d = shared.model.config.d
     scpp_block = _require(base_spec, "scpp", "length sweep")
@@ -750,7 +759,7 @@ def run_length_sweep(
             blocks["scpp"] = {"m": m, "K": K, "r": r, "budget": budget}
         cell_specs.append(_cell_spec(base_spec, f"length-m{m}", blocks))
 
-    results = _run_cells(cell_specs, shared, runs_root, jobs)
+    results = _run_cells(cell_specs, shared, runs_root)
     ref_time = results[lengths.index(max(lengths))].summary["wall_time_s"]
     return [
         (m, res.summary["best_metric"], res.summary["wall_time_s"] / ref_time)

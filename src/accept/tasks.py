@@ -28,7 +28,6 @@ __all__ = [
     "SamplingError",
     "Example",
     "Dataset",
-    "FewShotSpec",
     "TASK_KINDS",
     "gen_task",
     "load_jsonl",
@@ -100,15 +99,6 @@ class Dataset:
         if self.num_classes == 1:
             return np.array([ex.label for ex in self.examples], dtype=np.float64)
         return np.array([ex.label for ex in self.examples], dtype=np.int64)
-
-
-@dataclass(frozen=True)
-class FewShotSpec:
-    """Few-shot protocol: gamma shots, resampled across several seeds."""
-
-    gamma: int
-    num_seeds: int = 3
-    base_seed: int = 0
 
 
 def _content_range(vocab_size: int) -> tuple[int, int]:
@@ -342,7 +332,7 @@ def load_jsonl(
     )
 
 
-def fewshot_sample(dataset: Dataset, spec: FewShotSpec, seed_index: int) -> Dataset:
+def fewshot_sample(dataset: Dataset, gamma: int, base_seed: int, seed_index: int) -> Dataset:
     """Draw gamma examples uniformly without replacement.
 
     Sampling is uniform over the pool, not stratified by class.
@@ -350,16 +340,16 @@ def fewshot_sample(dataset: Dataset, spec: FewShotSpec, seed_index: int) -> Data
     process or platform.
     """
     n = len(dataset)
-    if spec.gamma < 1:
-        raise SamplingError(f"gamma={spec.gamma} must be >= 1")
-    if spec.gamma > n:
-        raise SamplingError(f"gamma={spec.gamma} exceeds dataset size {n}")
-    rng = np.random.default_rng((spec.base_seed, spec.gamma, seed_index))
-    idx = np.sort(rng.choice(n, size=spec.gamma, replace=False))
+    if gamma < 1:
+        raise SamplingError(f"gamma={gamma} must be >= 1")
+    if gamma > n:
+        raise SamplingError(f"gamma={gamma} exceeds dataset size {n}")
+    rng = np.random.default_rng((base_seed, gamma, seed_index))
+    idx = np.sort(rng.choice(n, size=gamma, replace=False))
     return Dataset(
         examples=[dataset.examples[int(i)] for i in idx],
         num_classes=dataset.num_classes,
-        split=f"fewshot{spec.gamma}",
+        split=f"fewshot{gamma}",
         kind=dataset.kind,
         vocab_size=dataset.vocab_size,
     )

@@ -428,6 +428,18 @@ def test_ablate_unknown_axis_exits_2(tmp_path, tiny_backbone_dir, capsys):
                  "--runs-dir", str(tmp_path / "runs")]) == 2
 
 
+def no_entries(path):
+    return not path.exists() or not any(path.iterdir())
+
+
+def test_ablate_over_budget_cell_fails_before_any_cell_trains(tmp_path, tiny_backbone_dir, capsys):
+    # Only the cells with added prompts carry the over-budget scap block.
+    spec = base_config(tiny_backbone_dir, scap={"K": 1, "r": 100, "budget": 48})
+    cfg = write_config(tmp_path, spec)
+    assert main(["ablate", cfg, "--runs-dir", str(tmp_path / "runs")]) == 2
+    assert no_entries(tmp_path / "runs")
+
+
 # -- fewshot verb -------------------------------------------------------------------------
 
 
@@ -462,6 +474,63 @@ def test_fewshot_gamma_beyond_train_split_exits_1(tmp_path, tiny_backbone_dir, c
     cfg = write_config(tmp_path, base_config(tiny_backbone_dir))
     assert main(["fewshot", cfg, "--gamma", "100000", "--seeds", "1",
                  "--runs-dir", str(tmp_path / "runs")]) == 1
+
+
+def test_fewshot_oversized_gamma_fails_before_any_cell_trains(tmp_path, tiny_backbone_dir, capsys):
+    cfg = write_config(tmp_path, base_config(tiny_backbone_dir))
+    assert main(["fewshot", cfg, "--gamma", "4,100000", "--seeds", "1",
+                 "--runs-dir", str(tmp_path / "runs")]) == 1
+    assert no_entries(tmp_path / "runs")
+
+
+def test_fewshot_cells_are_finished_runs_on_the_backbone(tmp_path, tiny_backbone_dir, capsys):
+    from accept.backbone import BackboneModel
+
+    cfg = write_config(tmp_path, base_config(tiny_backbone_dir))
+    runs = tmp_path / "runs"
+    assert main(["fewshot", cfg, "--gamma", "4,8", "--seeds", "2",
+                 "--runs-dir", str(runs)]) == 0
+    summaries = {
+        s["name"]: s
+        for s in (json.loads(p.read_text()) for p in runs.glob("*/summary.json"))
+    }
+    assert sorted(summaries) == [f"fewshot-gamma{g}-seed{i}" for g in (4, 8) for i in (0, 1)]
+    want_hash = BackboneModel.load(tiny_backbone_dir).hash_params()
+    assert all(s["backbone_hash"] == want_hash for s in summaries.values())
+    sweep_dir = next(runs.glob("fewshot-*"))
+    for g in (4, 8):
+        _, rows = read_csv_rows(sweep_dir / f"gamma{g}.csv")
+        assert [float(r[1]) for r in rows] == [
+            summaries[f"fewshot-gamma{g}-seed{i}"]["best_metric"] for i in (0, 1)
+        ]
+    capsys.readouterr()
+    assert main(["report", "--runs-dir", str(runs)]) == 0
+    assert len(capsys.readouterr().out.strip().split("\n")) == 1 + 4
+
+
+def test_fewshot_interrupted_leaves_only_finished_cells(tmp_path, tiny_backbone_dir, capsys, monkeypatch):
+    import accept.experiments as experiments
+    from accept.optim import TrainingError
+
+    real_train = experiments.train
+    calls = []
+
+    def fails_second(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 2:
+            raise TrainingError("diverged")
+        return real_train(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "train", fails_second)
+    cfg = write_config(tmp_path, base_config(tiny_backbone_dir))
+    runs = tmp_path / "runs"
+    assert main(["fewshot", cfg, "--gamma", "4", "--seeds", "2",
+                 "--runs-dir", str(runs)]) == 1
+    assert not list(runs.glob("fewshot-*"))
+    capsys.readouterr()
+    assert main(["report", "--runs-dir", str(runs)]) == 0
+    lines = capsys.readouterr().out.strip().split("\n")
+    assert [line.split(",")[1] for line in lines[1:]] == ["fewshot-gamma4-seed0"]
 
 
 def test_fewshot_single_seed_std_zero(tmp_path, tiny_backbone_dir, capsys):
@@ -503,7 +572,7 @@ def test_length_sweep_duplicate_lengths_exit_2(tmp_path, tiny_backbone_dir, caps
                  "--runs-dir", str(tmp_path / "runs")]) == 2
 
 
-# -- trained granularity sweep + parallel cells ----------------------------------------------
+# -- trained granularity sweep -----------------------------------------------------------------
 
 
 def test_sweep_with_training_re_solves_rank(tmp_path, tiny_backbone_dir, capsys):
@@ -519,35 +588,12 @@ def test_sweep_with_training_re_solves_rank(tmp_path, tiny_backbone_dir, capsys)
     assert all(r[5] != "" for r in rows)
 
 
-def test_parallel_jobs_match_serial_results(tmp_path, tiny_backbone_dir, capsys):
-    cfg = write_config(tmp_path, base_config(tiny_backbone_dir))
-    serial_csv, par_csv = tmp_path / "serial.csv", tmp_path / "par.csv"
-    assert main(["sweep-granularity", "--config", cfg, "--component", "scpp",
-                 "--budget", "100", "--t-values", "8,16",
-                 "--runs-dir", str(tmp_path / "runs_s"), "--out", str(serial_csv)]) == 0
-    assert main(["sweep-granularity", "--config", cfg, "--component", "scpp",
-                 "--budget", "100", "--t-values", "8,16", "--jobs", "2",
-                 "--runs-dir", str(tmp_path / "runs_p"), "--out", str(par_csv)]) == 0
-    assert serial_csv.read_bytes() == par_csv.read_bytes()
-
-
-def test_parallel_jobs_require_backbone_path(tmp_path, capsys, monkeypatch):
-    """--jobs > 1 with an inline recipe exits 2 before pretraining anything."""
-    import accept.experiments as E
-
-    calls = []
-    real = E.pretrain_backbone
-
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(E, "pretrain_backbone", counting)
-    cfg = write_config(tmp_path, inline_config())
-    for verb_args in MULTI_RUN_VERBS.values():
-        assert main([*verb_args, cfg, "--jobs", "2",
-                     "--runs-dir", str(tmp_path / "runs")]) == 2
-    assert len(calls) == 0
+def test_sweep_with_no_feasible_width_still_checks_the_schedule(tmp_path, tiny_backbone_dir, capsys):
+    spec = base_config(tiny_backbone_dir)
+    spec["run"]["bogus"] = 1
+    cfg = write_config(tmp_path, spec)
+    assert main(["sweep-granularity", "--config", cfg, "--budget", "100", "--t-values", "3",
+                 "--runs-dir", str(tmp_path / "runs")]) == 2
 
 
 # -- multi-run verbs share one resolution ----------------------------------------------------
@@ -559,7 +605,17 @@ MULTI_RUN_VERBS = {
                           "--config"],
     "ablate": ["ablate"],
     "length-sweep": ["length-sweep", "--lengths", "0,2,4"],
+    "fewshot": ["fewshot", "--gamma", "4", "--seeds", "2"],
 }
+
+
+def test_jobs_is_an_unknown_argument(tmp_path, capsys):
+    """Cells run one after another in one process; no verb takes --jobs."""
+    for verb in ("sweep-granularity", "ablate", "length-sweep"):
+        with pytest.raises(SystemExit) as exc:
+            main([*MULTI_RUN_VERBS[verb], str(tmp_path / "cfg.json"), "--jobs", "2"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --jobs 2" in capsys.readouterr().err
 
 
 def inline_config():
@@ -596,17 +652,23 @@ def test_multi_run_verb_pretrains_inline_backbone_once(tmp_path, capsys, monkeyp
 
 def test_sweep_cell_matches_standalone_train_of_its_config(tmp_path, capsys):
     cfg = write_config(tmp_path, inline_config())
-    assert main(["sweep-granularity", "--config", cfg, "--component", "scpp",
-                 "--budget", "100", "--t-values", "8,16",
-                 "--runs-dir", str(tmp_path / "sweep")]) == 0
-    cell = next(
-        rd for rd in (tmp_path / "sweep").iterdir()
-        if json.loads((rd / "config.json").read_text())["name"] == "granularity-scpp-t8"
-    )
-    assert main(["train", str(cell / "config.json"), "--runs-dir", str(tmp_path / "alone")]) == 0
-    alone = next((tmp_path / "alone").iterdir())
-    assert alone.name == cell.name
-    assert (alone / "history.csv").read_bytes() == (cell / "history.csv").read_bytes()
+    cases = [
+        (["sweep-granularity", "--component", "scpp", "--budget", "100",
+          "--t-values", "8,16", "--config"], "granularity-scpp-t8"),
+        # seed index 1: its run.seed and train subset both differ from the base's.
+        (["fewshot", "--gamma", "4,8", "--seeds", "2"], "fewshot-gamma8-seed1"),
+    ]
+    for k, (verb_args, name) in enumerate(cases):
+        sweep, alone = tmp_path / f"sweep{k}", tmp_path / f"alone{k}"
+        assert main([*verb_args, cfg, "--runs-dir", str(sweep)]) == 0
+        cell = next(
+            p.parent for p in sweep.glob("*/config.json")
+            if json.loads(p.read_text())["name"] == name
+        )
+        assert main(["train", str(cell / "config.json"), "--runs-dir", str(alone)]) == 0
+        alone_dir = next(alone.iterdir())
+        assert alone_dir.name == cell.name
+        assert (alone_dir / "history.csv").read_bytes() == (cell / "history.csv").read_bytes()
 
 
 # -- config resolution details ---------------------------------------------------------------
@@ -698,6 +760,12 @@ def test_config_rejects_removed_run_fields(tmp_path, tiny_backbone_dir, capsys, 
     spec["run"].update(removed)
     cfg = write_config(tmp_path, spec)
     assert main(["train", cfg, "--runs-dir", str(tmp_path / "runs")]) == 2
+
+
+def test_config_rejects_malformed_fewshot_field(tmp_path, tiny_backbone_dir, capsys):
+    cfg = write_config(tmp_path, base_config(tiny_backbone_dir, fewshot={"gamma": 4}))
+    assert main(["train", cfg, "--runs-dir", str(tmp_path / "runs")]) == 2
+    assert "fewshot:" in capsys.readouterr().err
 
 
 def test_direct_prepend_trains_plain_prompt_rows(tmp_path, tiny_backbone_dir, capsys):

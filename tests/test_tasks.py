@@ -148,11 +148,10 @@ def test_jsonl_vocab_check_names_line(tmp_path):
 
 def test_fewshot_deterministic_and_distinct_across_seeds():
     ds = K.gen_task("majority", n=200, length=10, vocab_size=64, seed=0)
-    spec = K.FewShotSpec(gamma=16, num_seeds=3, base_seed=11)
-    a = K.fewshot_sample(ds, spec, seed_index=0)
-    b = K.fewshot_sample(ds, spec, seed_index=0)
+    a = K.fewshot_sample(ds, gamma=16, base_seed=11, seed_index=0)
+    b = K.fewshot_sample(ds, gamma=16, base_seed=11, seed_index=0)
     assert a.examples == b.examples
-    c = K.fewshot_sample(ds, spec, seed_index=1)
+    c = K.fewshot_sample(ds, gamma=16, base_seed=11, seed_index=1)
     assert a.examples != c.examples
     assert len(a) == 16
 
@@ -161,10 +160,9 @@ def test_fewshot_uniform_not_stratified():
     # Across many seeds, at least one gamma=4 draw from a balanced pool
     # must come out class-imbalanced; stratified sampling never would.
     ds = K.gen_task("majority", n=40, length=10, vocab_size=64, seed=0)
-    spec = K.FewShotSpec(gamma=4, base_seed=0)
     saw_imbalance = False
     for s in range(30):
-        sub = K.fewshot_sample(ds, spec, seed_index=s)
+        sub = K.fewshot_sample(ds, gamma=4, base_seed=0, seed_index=s)
         counts = Counter(ex.label for ex in sub.examples)
         if counts[0] != counts[1]:
             saw_imbalance = True
@@ -175,7 +173,7 @@ def test_fewshot_uniform_not_stratified():
 def test_fewshot_gamma_exceeds_pool():
     ds = K.gen_task("majority", n=8, length=10, vocab_size=64, seed=0)
     with pytest.raises(K.SamplingError):
-        K.fewshot_sample(ds, K.FewShotSpec(gamma=9), seed_index=0)
+        K.fewshot_sample(ds, gamma=9, base_seed=0, seed_index=0)
 
 
 def test_dataset_validates_tokens_and_labels():
