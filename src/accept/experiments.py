@@ -677,6 +677,8 @@ def run_fewshot(
         raise ConfigError(f"need at least one seed, got {num_seeds}")
     if any(g < 1 for g in gammas):
         raise ConfigError(f"gammas must be positive, got {gammas}")
+    if len(set(gammas)) != len(gammas):
+        raise ConfigError(f"duplicate gammas in {gammas}")
     shared = resolve_shared(base_spec)
     base_seed = _schedule(base_spec)[0].seed
     prompts = {k: v for k, v in base_spec.items() if k in _PROMPT_KEYS}

@@ -11,9 +11,17 @@ op that produced it rather than three layers downstream.  Inside
 ``checked_block`` the per-op scans are deferred to one scan of the block's
 output; a non-finite result re-runs the block with every op checking, so
 the error still names the op that produced it.
+
+Importing this module asks glibc's malloc to keep freed memory: arrays up
+to 32 MiB come from the heap, not a fresh ``mmap``, and the heap is only
+trimmed once 1 GiB of it is free.  A forward pass frees and reallocates
+the same few-megabyte arrays op after op; returning each to the OS would
+cost a page fault per page on its next use.  Without glibc's ``mallopt``
+this is a no-op; no array value depends on it.
 """
 from __future__ import annotations
 
+import ctypes
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,6 +55,23 @@ __all__ = [
     "softmax_cross_entropy",
     "mean_squared_error",
 ]
+
+
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc <malloc.h> mallopt parameters
+
+
+def _keep_freed_memory() -> bool:
+    """Tell glibc malloc to reuse freed arrays, not return them; True if applied."""
+    try:
+        mallopt = ctypes.CDLL("libc.so.6").mallopt
+    except (OSError, AttributeError):
+        return False
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    # 32 MiB is glibc's largest mmap threshold on 64-bit hosts.
+    return all([mallopt(_M_MMAP_THRESHOLD, 32 << 20), mallopt(_M_TRIM_THRESHOLD, 1 << 30)])
+
+
+_keep_freed_memory()
 
 
 class ShapeError(ValueError):

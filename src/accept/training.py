@@ -316,9 +316,13 @@ def evaluate(
     metric_name: str = "accuracy",
     batch_size: int = 64,
 ) -> float:
-    """Metric of the current prompts over a whole dataset, deterministically."""
+    """Metric of the current prompts over a whole dataset, deterministically.
+
+    Builds no autodiff graph: the prompt rows enter the frozen model as
+    constant leaves, so each batch's intermediates are freed as it runs.
+    """
     _check_dims(model, prompts, dataset)
-    rows = prompts.rows()
+    rows = [None if r is None else Tensor(r.data, dtype=r.dtype) for r in prompts.rows()]
     preds = []
     for start in range(0, len(dataset), batch_size):
         chunk = dataset.examples[start : start + batch_size]

@@ -483,6 +483,14 @@ def test_fewshot_oversized_gamma_fails_before_any_cell_trains(tmp_path, tiny_bac
     assert no_entries(tmp_path / "runs")
 
 
+def test_fewshot_duplicate_gammas_exit_2_before_any_cell(tmp_path, tiny_backbone_dir, capsys):
+    cfg = write_config(tmp_path, base_config(tiny_backbone_dir))
+    assert main(["fewshot", cfg, "--gamma", "4,8,4", "--seeds", "2",
+                 "--runs-dir", str(tmp_path / "runs")]) == 2
+    assert "duplicate gammas" in capsys.readouterr().err
+    assert no_entries(tmp_path / "runs")
+
+
 def test_fewshot_cells_are_finished_runs_on_the_backbone(tmp_path, tiny_backbone_dir, capsys):
     from accept.backbone import BackboneModel
 

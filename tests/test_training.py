@@ -383,3 +383,29 @@ def test_evaluate_is_deterministic():
     prompts = fresh_prompts()
     data = tiny_task(seed=3)
     assert evaluate(model, prompts, data) == evaluate(model, prompts, data)
+
+
+def test_evaluate_builds_no_graph_and_matches_the_trainable_forward(monkeypatch):
+    model = frozen_model()
+    prompts = fresh_prompts()
+    data = tiny_task(seed=3, n=40)
+    outputs = []
+    forward = BackboneModel.forward
+
+    def recording_forward(self, assembled):
+        out = forward(self, assembled)
+        outputs.append(out)
+        return out
+
+    monkeypatch.setattr(BackboneModel, "forward", recording_forward)
+    evaluate(model, prompts, data, batch_size=16)
+    monkeypatch.undo()
+
+    assert len(outputs) == 3
+    for start, logits in zip(range(0, len(data), 16), outputs):
+        assert logits.needs_grad is False and logits._parents == ()
+        chunk = data.examples[start : start + 16]
+        with_tape = model.logits([ex.tokens for ex in chunk], *prompts.rows())
+        assert with_tape.needs_grad
+        assert logits.data.tobytes() == with_tape.data.tobytes()
+    assert prompts.param_refs() and all(ref.get().grad is None for ref in prompts.param_refs())
