@@ -121,7 +121,6 @@ def _param_specs(cfg: BackboneConfig) -> list[tuple[str, tuple[int, ...], str]]:
             (f"{p}.attn.wq", (d, d), "proj"),
             (f"{p}.attn.bq", (d,), "zeros"),
             (f"{p}.attn.wk", (d, d), "proj"),
-            (f"{p}.attn.bk", (d,), "zeros"),
             (f"{p}.attn.wv", (d, d), "proj"),
             (f"{p}.attn.bv", (d,), "zeros"),
             (f"{p}.attn.wo", (d, d), "proj"),
@@ -370,7 +369,8 @@ class BackboneModel:
 
         pre = T.layer_norm(x, p[f"layer{i}.ln1.g"], p[f"layer{i}.ln1.b"])
         q = heads(T.add(T.matmul(pre, p[f"layer{i}.attn.wq"]), p[f"layer{i}.attn.bq"]))
-        k = heads(T.add(T.matmul(pre, p[f"layer{i}.attn.wk"]), p[f"layer{i}.attn.bk"]))
+        # No key bias: softmax cancels a constant added to all of a query's scores.
+        k = heads(T.matmul(pre, p[f"layer{i}.attn.wk"]))
         v = heads(T.add(T.matmul(pre, p[f"layer{i}.attn.wv"]), p[f"layer{i}.attn.bv"]))
         scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(hd))
         probs = T.softmax(scores, bias)
@@ -405,13 +405,18 @@ class BackboneModel:
 
     @classmethod
     def load(cls, dirpath, trainable: bool = False) -> "BackboneModel":
+        """Read a directory written by save; refuse a fragment no parameter names."""
         d = Path(dirpath)
         apath = d / "arch.json"
         if not apath.exists():
             raise CheckpointFormatError(f"no arch.json under {d}")
         config = BackboneConfig(**json.loads(apath.read_text(encoding="utf-8")))
+        specs = _param_specs(config)
+        extra = sorted({f.stem for f in d.glob("*.bin")} - {name for name, _, _ in specs})
+        if extra:
+            raise ArchitectureError(f"{d} holds fragments this architecture lacks: {extra}")
         params = {}
-        for name, shape, _ in _param_specs(config):
+        for name, shape, _ in specs:
             _, arr = read_fragment(d, name, shape)
             params[name] = Tensor(arr, trainable=trainable, name=name, dtype=config.np_dtype)
         return cls(config, params)

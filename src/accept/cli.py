@@ -134,11 +134,11 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     run_dir = Path(args.run_dir)
     spec = load_config(run_dir / "config.json")
-    resolved = resolve_experiment(spec, allow_over_budget=True)
     best_dir = run_dir / "best"
     if not best_dir.exists():
         raise ConfigError(f"{run_dir} has no best/ checkpoint to evaluate")
     trained_on = json.loads((run_dir / "summary.json").read_text(encoding="utf-8"))["backbone_hash"]
+    resolved = resolve_experiment(spec, allow_over_budget=True)
     current = resolved.model.hash_params()
     if trained_on != current:
         raise ConfigError(f"{run_dir} was trained on backbone {trained_on}, config gives {current}")

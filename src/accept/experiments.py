@@ -211,10 +211,11 @@ def parse_backbone(obj, where: str = "backbone") -> BackboneModel:
     ]
     model, _ = pretrain_backbone(config, tasks, pre)
     if cache:
-        # recipe.json goes last, so an interrupted save is never reused.
-        recipe_path.unlink(missing_ok=True)
-        model.save(cache)
-        recipe_path.write_text(recipe_text, encoding="utf-8")
+        # Replace the cache whole, so no fragment of an earlier model survives.
+        tmp = _fresh_tmp_dir(Path(cache))
+        model.save(tmp)
+        (tmp / "recipe.json").write_text(recipe_text, encoding="utf-8")
+        _replace_dir(tmp, Path(cache))
     return model
 
 

@@ -15,7 +15,7 @@ from accept.backbone import (
     pretrain_backbone,
     sinusoidal_rows,
 )
-from accept.checkpoint import CheckpointFormatError
+from accept.checkpoint import CheckpointFormatError, write_fragment
 from accept.factorization import Codebook, PromptDims, WeightSet, compose, init_random
 from accept.tasks import PAD_ID, gen_task
 
@@ -398,6 +398,22 @@ def test_gradients_match_finite_differences_through_model():
             assert abs(a - fd) / max(abs(a), abs(fd), 1.0) < 1e-4
 
 
+def test_every_backbone_parameter_has_a_live_gradient():
+    # Perturbed off its init, so zero-initialised biases and unit gains do not
+    # hide a parameter that computes nothing.
+    rng = np.random.default_rng(3)
+    params = {
+        n: T.Tensor(t.data + rng.normal(0.0, 0.2, size=t.shape), trainable=True, name=n)
+        for n, t in BackboneModel.random_init(TINY, seed=2).params.items()
+    }
+    model = BackboneModel(TINY, params)
+    toks = [rng.integers(6, 32, size=k).tolist() for k in (1, 3, 5, 8)]
+    loss = T.softmax_cross_entropy(model.logits(toks), np.array([0, 1, 1, 0]))
+    grads = T.backward(loss)
+    peak = {n: float(np.abs(grads[t]).max()) for n, t in params.items()}
+    assert {n: g for n, g in peak.items() if g <= 1e-8} == {}
+
+
 # -- freeze / params -------------------------------------------------------------
 
 
@@ -447,6 +463,15 @@ def test_constructor_validates_params():
         BackboneModel(TINY, params)
 
 
+def test_desk_parameter_count_is_exact():
+    cfg = BackboneConfig()
+    V, d, f, c, L = cfg.vocab_size, cfg.d, cfg.ffn_dim, cfg.num_classes, cfg.layers
+    want = V * d + L * (4 * d * d + 2 * d * f + 8 * d + f) + 2 * d + d * c + c
+    assert want == 108_290
+    model = BackboneModel.random_init(cfg, seed=0)
+    assert sum(t.data.size for t in model.params.values()) == want
+
+
 # -- persistence ----------------------------------------------------------------
 
 
@@ -467,6 +492,16 @@ def test_save_rejects_f64(tmp_path):
     model = tiny_model()
     with pytest.raises(CheckpointFormatError):
         model.save(tmp_path / "bb")
+
+
+def test_load_refuses_a_fragment_the_architecture_lacks(tmp_path):
+    cfg = BackboneConfig(d=16, layers=1, heads=2, vocab_size=16, max_len=4)
+    BackboneModel.random_init(cfg, seed=2).save(tmp_path)
+    manifest = {"kind": "tensor", "name": "layer0.attn.bk", "shape": [16],
+                "dtype": "f32", "byte_order": "little"}
+    write_fragment(tmp_path, "layer0.attn.bk", manifest, np.zeros(16, dtype=np.float32))
+    with pytest.raises(ArchitectureError, match="layer0.attn.bk"):
+        BackboneModel.load(tmp_path)
 
 
 def test_load_missing_arch(tmp_path):

@@ -6,6 +6,7 @@ pretrained once per module and cached on disk; configs reference the
 cache through the inline-backbone path to exercise config resolution.
 """
 import json
+import shutil
 from pathlib import Path
 
 import numpy as np
@@ -640,8 +641,8 @@ def inline_config():
     return spec
 
 
-@pytest.mark.parametrize("verb_args", MULTI_RUN_VERBS.values(), ids=MULTI_RUN_VERBS.keys())
-def test_multi_run_verb_pretrains_inline_backbone_once(tmp_path, capsys, monkeypatch, verb_args):
+def count_pretrains(monkeypatch) -> list:
+    """Wrap experiments.pretrain_backbone; the returned list grows by one per call."""
     import accept.experiments as E
 
     calls = []
@@ -652,6 +653,12 @@ def test_multi_run_verb_pretrains_inline_backbone_once(tmp_path, capsys, monkeyp
         return real(*args, **kwargs)
 
     monkeypatch.setattr(E, "pretrain_backbone", counting)
+    return calls
+
+
+@pytest.mark.parametrize("verb_args", MULTI_RUN_VERBS.values(), ids=MULTI_RUN_VERBS.keys())
+def test_multi_run_verb_pretrains_inline_backbone_once(tmp_path, capsys, monkeypatch, verb_args):
+    calls = count_pretrains(monkeypatch)
     cfg = write_config(tmp_path, inline_config())
     assert main([*verb_args, cfg, "--runs-dir", str(tmp_path / "runs")]) == 0
     assert len(calls) == 1
@@ -726,6 +733,53 @@ def test_inline_backbone_cache_is_keyed_on_the_recipe(tmp_path):
     assert parse_backbone(recipe(1, cache=True)).hash_params() == fresh
     # The cache now holds seed 1, so seed 0 pretrains again.
     assert parse_backbone(recipe(0, cache=True)).hash_params() == seed0
+
+
+def test_inline_backbone_cache_is_replaced_whole(tmp_path, monkeypatch):
+    from accept.experiments import parse_backbone
+
+    calls = count_pretrains(monkeypatch)
+    backbone = {**inline_config()["backbone"], "cache_dir": str(tmp_path / "cc")}
+    first = parse_backbone(backbone).hash_params()
+    # Leave a fragment of an older model and a recipe.json that no longer matches.
+    stale = tmp_path / "cc"
+    shutil.copy(stale / "head.b.bin", stale / "layer0.attn.bk.bin")
+    shutil.copy(stale / "head.b.json", stale / "layer0.attn.bk.json")
+    (stale / "recipe.json").write_text("{}\n", encoding="utf-8")
+    assert parse_backbone(backbone).hash_params() == first
+    assert len(calls) == 2
+    assert not (stale / "layer0.attn.bk.bin").exists()
+    assert parse_backbone(backbone).hash_params() == first
+    assert len(calls) == 2
+
+
+def test_train_refuses_a_backbone_with_an_unknown_fragment(tmp_path, tiny_backbone_dir, capsys):
+    from accept.checkpoint import write_fragment
+
+    old = tmp_path / "old"
+    shutil.copytree(tiny_backbone_dir, old)
+    manifest = {"kind": "tensor", "name": "layer0.attn.bk", "shape": [16],
+                "dtype": "f32", "byte_order": "little"}
+    write_fragment(old, "layer0.attn.bk", manifest, np.zeros(16, dtype=np.float32))
+    cfg = write_config(tmp_path, base_config(old))
+    assert main(["train", cfg, "--runs-dir", str(tmp_path / "runs")]) == 2
+    assert "layer0.attn.bk" in capsys.readouterr().err
+    assert not (tmp_path / "runs").exists()
+
+
+def test_eval_without_best_refuses_before_pretraining(tmp_path, capsys, monkeypatch):
+    spec = inline_config()
+    del spec["scpp"], spec["scap"]
+    spec["direct_prepend"] = {"m": 3}
+    cfg = write_config(tmp_path, spec)
+    assert main(["train", cfg, "--runs-dir", str(tmp_path / "runs")]) == 0
+    rd = next((tmp_path / "runs").iterdir())
+
+    calls = count_pretrains(monkeypatch)
+    capsys.readouterr()
+    assert main(["eval", "--run-dir", str(rd)]) == 2
+    assert "no best/" in capsys.readouterr().err
+    assert calls == []
 
 
 def test_config_requires_some_prompt_component(tmp_path, tiny_backbone_dir, capsys):
