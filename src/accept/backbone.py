@@ -292,7 +292,7 @@ class BackboneModel:
                 raise AssemblyError(
                     f"added prompt must be shape {(cfg.max_len, cfg.d)}, got {added.shape}"
                 )
-            vals = T.add(vals, T.leading_rows(added, e.shape[1]))
+            vals = T.add(vals, T.slice_rows(added, 0, e.shape[1]))
         m = 0
         if prompt is not None:
             if prompt.ndim != 2 or prompt.shape[1] != self.config.d:
@@ -330,7 +330,16 @@ class BackboneModel:
         return self.forward(self.assemble_input(e, mask, prompt=prompt, added=added))
 
     def forward(self, assembled: AssembledInput) -> Tensor:
-        """(B, num_classes) logits for an assembled input."""
+        """(B, num_classes) logits for an assembled input.
+
+        Pooling reads only token rows, so the last block computes keys and
+        values over every row but queries, the MLP and the final norm only
+        over the token rows.  Earlier blocks run on all rows: prompt rows
+        are keys for the layers above them.  A non-finite value that would
+        appear only in the last block's prompt rows therefore no longer
+        raises, since those rows are never computed.  An example with no
+        real token rows fails before any block runs.
+        """
         cfg = self.config
         vals = assembled.values
         mask = np.asarray(assembled.mask, dtype=bool)
@@ -340,48 +349,51 @@ class BackboneModel:
         if mask.shape != (bsz, s):
             raise AssemblyError(f"mask shape {mask.shape} does not match values {vals.shape}")
         m = int(assembled.prompt_len)
-        x = T.add(vals, Tensor(self.position_grid(s, m), dtype=cfg.np_dtype))
+        grid = self.position_grid(s, m)
+        pool_mask = mask[:, m:]
+        if (pool_mask.sum(axis=1) == 0).any():
+            raise AssemblyError("an example has no real token rows to pool")
+        x = T.add(vals, Tensor(grid, dtype=cfg.np_dtype))
 
         # Additive key mask, (B, 1, 1, s), broadcast over heads and queries.
         bias = np.where(mask, 0.0, _MASK_BIAS).astype(cfg.np_dtype)[:, None, None, :]
 
         for i in range(cfg.layers):
+            first_query = m if i == cfg.layers - 1 else 0
             try:
-                x = T.checked_block(self._block, x, i, bias, bsz, s)
+                x = T.checked_block(self._block, x, i, bias, first_query)
             except T.NonFiniteError as err:
                 raise T.NonFiniteError(f"layer {i}: {err}") from None
         x = T.layer_norm(x, self.params["lnf.g"], self.params["lnf.b"])
-
-        pool_mask = mask.copy()
-        pool_mask[:, :m] = False
-        if (pool_mask.sum(axis=1) == 0).any():
-            raise AssemblyError("an example has no real token rows to pool")
         pooled = T.masked_mean_rows(x, pool_mask)
-        return T.add(T.matmul(pooled, self.params["head.w"]), self.params["head.b"])
+        return T.matmul(pooled, self.params["head.w"], self.params["head.b"])
 
-    def _block(self, x: Tensor, i: int, bias: np.ndarray, bsz: int, s: int) -> Tensor:
+    def _block(self, x: Tensor, i: int, bias: np.ndarray, first_query: int) -> Tensor:
+        """One block over (B, s, d) rows; returns rows first_query..s-1 only."""
         cfg = self.config
         p = self.params
         hd = cfg.head_dim
+        bsz, s, _ = x.shape
 
         def heads(t: Tensor) -> Tensor:
-            return T.transpose(T.reshape(t, (bsz, s, cfg.heads, hd)), (0, 2, 1, 3))
+            return T.transpose(T.reshape(t, (bsz, t.shape[1], cfg.heads, hd)), (0, 2, 1, 3))
 
         pre = T.layer_norm(x, p[f"layer{i}.ln1.g"], p[f"layer{i}.ln1.b"])
-        q = heads(T.add(T.matmul(pre, p[f"layer{i}.attn.wq"]), p[f"layer{i}.attn.bq"]))
+        rows = pre
+        if first_query:
+            rows = T.slice_rows(pre, first_query, s)
+            x = T.slice_rows(x, first_query, s)
+        q = heads(T.matmul(rows, p[f"layer{i}.attn.wq"], p[f"layer{i}.attn.bq"]))
         # No key bias: softmax cancels a constant added to all of a query's scores.
         k = heads(T.matmul(pre, p[f"layer{i}.attn.wk"]))
-        v = heads(T.add(T.matmul(pre, p[f"layer{i}.attn.wv"]), p[f"layer{i}.attn.bv"]))
-        scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(hd))
-        probs = T.softmax(scores, bias)
-        ctx = T.reshape(T.transpose(T.matmul(probs, v), (0, 2, 1, 3)), (bsz, s, cfg.d))
-        attn = T.add(T.matmul(ctx, p[f"layer{i}.attn.wo"]), p[f"layer{i}.attn.bo"])
-        x = T.add(x, attn)
+        v = heads(T.matmul(pre, p[f"layer{i}.attn.wv"], p[f"layer{i}.attn.bv"]))
+        probs = T.softmax(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), bias, 1.0 / np.sqrt(hd))
+        ctx = T.reshape(T.transpose(T.matmul(probs, v), (0, 2, 1, 3)), x.shape)
+        x = T.add(x, T.matmul(ctx, p[f"layer{i}.attn.wo"], p[f"layer{i}.attn.bo"]))
 
         pre2 = T.layer_norm(x, p[f"layer{i}.ln2.g"], p[f"layer{i}.ln2.b"])
-        h = T.gelu(T.add(T.matmul(pre2, p[f"layer{i}.ffn.w1"]), p[f"layer{i}.ffn.b1"]))
-        out = T.add(T.matmul(h, p[f"layer{i}.ffn.w2"]), p[f"layer{i}.ffn.b2"])
-        return T.add(x, out)
+        h = T.gelu(T.matmul(pre2, p[f"layer{i}.ffn.w1"], p[f"layer{i}.ffn.b1"]))
+        return T.add(x, T.matmul(h, p[f"layer{i}.ffn.w2"], p[f"layer{i}.ffn.b2"]))
 
     # -- persistence ---------------------------------------------------------
 
@@ -423,16 +435,20 @@ class BackboneModel:
 
 
 def numerics_fingerprint() -> str:
-    """sha256 of fixed forward passes and of a tiny fixed pretraining run.
+    """sha256 of fixed forward passes, an adaptation step and a tiny pretraining run.
 
     Any change to the bits the forward computes changes this digest.  The
     batches are full-length, short and mixed-length, so a change to how
-    wide a batch is padded changes it too.  The tiny run goes past its
-    warmup, so a change to the backward pass, the optimizer or the
-    pretraining schedule changes it as well.
+    wide a batch is padded changes it too.  The mixed batch also runs
+    under a 4-row prepended prompt and an added grid, and the digest takes
+    that batch's logits and both prompts' gradients through the frozen
+    model: the adaptation path.  The tiny run goes past its warmup, so a
+    change to the backward pass, the optimizer or the pretraining schedule
+    changes it as well.
     """
     config = BackboneConfig()
     model = BackboneModel.random_init(config, seed=0)
+    model.freeze()
     rng = np.random.default_rng(0)
     tokens = rng.integers(1, config.vocab_size, size=(8, config.max_len)).tolist()
     short = [row[:7] for row in tokens]
@@ -440,6 +456,13 @@ def numerics_fingerprint() -> str:
     h = hashlib.sha256()
     for batch in (tokens, short, mixed):
         h.update(model.logits(batch).data.tobytes())
+    dt = config.np_dtype
+    prompt = Tensor(rng.normal(0.0, 0.1, size=(4, config.d)), trainable=True, dtype=dt)
+    added = Tensor(rng.normal(0.0, 0.1, size=(config.max_len, config.d)), trainable=True, dtype=dt)
+    logits = model.logits(mixed, prompt=prompt, added=added)
+    grads = T.backward(T.softmax_cross_entropy(logits, np.arange(len(mixed)) % 2))
+    for arr in (logits.data, grads[prompt], grads[added]):
+        h.update(arr.tobytes())
     tiny = BackboneConfig(d=8, layers=1, heads=2, vocab_size=16, max_len=8)
     source = gen_task("majority", n=16, length=6, vocab_size=16, seed=0)
     pre = PretrainConfig(steps=4, batch_size=4, warmup=2, eval_examples=4)

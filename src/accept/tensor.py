@@ -3,8 +3,8 @@
 A small tensor-graph engine: immutable row-major tensors, explicit op
 functions that build an acyclic graph, a single ``backward`` entry point,
 and a central-difference gradient checker.  Only the broadcasting patterns
-the toy transformer actually uses are supported (leading batch dims and a
-trailing bias vector); anything else is rejected loudly.
+the toy transformer actually uses are supported (leading batch dims, and a
+bias vector added inside ``matmul``); anything else is rejected loudly.
 
 Every forward op verifies its output is finite, so NaN/Inf surfaces at the
 op that produced it rather than three layers downstream.  Inside
@@ -45,7 +45,7 @@ __all__ = [
     "layer_norm",
     "gather_rows",
     "concat_rows",
-    "leading_rows",
+    "slice_rows",
     "reshape",
     "transpose",
     "expand_leading",
@@ -226,11 +226,14 @@ def _join_dtype(a: Tensor, b: Tensor, op: str) -> np.dtype:
 # primitives
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
-    """Matrix product with the two supported layouts.
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Matrix product with the two supported layouts, plus an optional bias.
 
     Either ``b`` is a plain 2-D weight matrix applied to the trailing axis
     of ``a``, or ``a`` and ``b`` share identical leading (batch) dims.
+    ``bias`` is a 1-D vector over the output's last axis, added in place
+    into the product: the same float ops as ``a @ b + bias`` without a
+    second output array.
     """
     _require_tensor(a, "matmul")
     _require_tensor(b, "matmul")
@@ -245,7 +248,17 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
     else:
         raise ShapeError(f"matmul: unsupported operand layout, {a.shape} @ {b.shape}")
+    n = b.shape[-1]
+    parents = (a, b)
+    if bias is not None:
+        _require_tensor(bias, "matmul")
+        _join_dtype(a, bias, "matmul")
+        if bias.shape != (n,):
+            raise ShapeError(f"matmul: bias must be shape ({n},), got {bias.shape}")
+        parents = (a, b, bias)
     out = a.data @ b.data
+    if bias is not None:
+        out += bias.data
 
     def backward_fn(g: np.ndarray):
         ga = gb = None
@@ -254,28 +267,27 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
         if b.needs_grad:
             if b.ndim == 2:
                 # Collapse leading dims: grad of a shared weight sums over them.
-                q = a.shape[-1]
-                s = g.shape[-1]
-                gb = a.data.reshape(-1, q).T @ g.reshape(-1, s)
+                gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, n)
             else:
                 gb = np.swapaxes(a.data, -1, -2) @ g
-        return ga, gb
+        if bias is None:
+            return ga, gb
+        gbias = g.reshape(-1, n).sum(axis=0) if bias.needs_grad else None
+        return ga, gb, gbias
 
-    return Tensor._wrap(out, (a, b), backward_fn, "matmul")
+    return Tensor._wrap(out, parents, backward_fn, "matmul")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    """Elementwise sum; ``b`` may also be a trailing bias vector or a
-    per-example array broadcast over the leading batch axis of ``a``."""
+    """Elementwise sum; ``b`` may also be one example's array, broadcast
+    over the leading batch axis of ``a``.  Biases go through ``matmul``."""
     _require_tensor(a, "add")
     _require_tensor(b, "add")
     _join_dtype(a, b, "add")
     if a.shape == b.shape:
-        kind = "same"
-    elif b.ndim == 1 and a.ndim >= 1 and a.shape[-1:] == b.shape:
-        kind = "bias"
+        same = True
     elif a.ndim == b.ndim + 1 and a.shape[1:] == b.shape:
-        kind = "leading"
+        same = False
     else:
         raise ShapeError(f"add: unsupported broadcast, {a.shape} + {b.shape}")
     out = a.data + b.data
@@ -284,12 +296,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         ga = g if a.needs_grad else None
         gb = None
         if b.needs_grad:
-            if kind == "same":
-                gb = g
-            elif kind == "bias":
-                gb = g.reshape(-1, b.shape[0]).sum(axis=0)
-            else:
-                gb = g.sum(axis=0)
+            gb = g if same else g.sum(axis=0)
         return ga, gb
 
     return Tensor._wrap(out, (a, b), backward_fn, "add")
@@ -332,55 +339,85 @@ def gelu(a: Tensor) -> Tensor:
     Forward and backward use the same approximation, so finite-difference
     checks agree with the analytic gradient to machine precision.  Powers
     are written as products: on float32 arrays numpy's generic float power
-    (``x**3``) is about 100x slower than two multiplies.
+    (``x**3``) is about 100x slower than two multiplies.  Both passes run
+    their chains in place, in the float-op order of the formulas in the
+    comments, so each keeps two or three temporaries instead of ten.
     """
     _require_tensor(a, "gelu")
     x = a.data
-    u = _GELU_K * (x + _GELU_C * (x * x * x))
-    th = np.tanh(u)
-    out = 0.5 * x * (1.0 + th)
+    # th = tanh(K * (x + C * (x * x * x)))
+    th = x * x
+    th *= x
+    th *= _GELU_C
+    th += x
+    th *= _GELU_K
+    np.tanh(th, out=th)
+    # out = 0.5 * x * (1.0 + th)
+    out = x * 0.5
+    out *= th + 1.0
 
     def backward_fn(g: np.ndarray):
-        du = _GELU_K * (1.0 + 3.0 * _GELU_C * (x * x))
-        local = 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th * th) * du
-        return (g * local,)
+        # du = K * (1.0 + 3.0 * C * (x * x))
+        du = x * x
+        du *= 3.0 * _GELU_C
+        du += 1.0
+        du *= _GELU_K
+        # local = 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th * th) * du
+        local = th * th
+        np.subtract(1.0, local, out=local)
+        local *= x * 0.5
+        local *= du
+        half = th + 1.0
+        half *= 0.5
+        local += half
+        local *= g
+        return (local,)
 
     return Tensor._wrap(out, (a,), backward_fn, "gelu")
 
 
-def softmax(a: Tensor, bias=None) -> Tensor:
-    """Numerically stable softmax over the last axis of ``a + bias``.
+def softmax(a: Tensor, bias=None, scale: float = 1.0) -> Tensor:
+    """Numerically stable softmax over the last axis of ``a * scale + bias``.
 
     ``bias`` is an optional constant numpy array (no gradient) that
     broadcasts to ``a.shape``, such as an additive (B, 1, 1, s) key mask.
-    The input is checked even inside ``checked_block``: a -inf entry maps
-    to a finite probability of 0 and would pass the block's output check.
+    Scaling, the bias, the max shift, ``exp`` and the division all run in
+    place on one array: each (B, H, s, s) temporary would cost a fresh
+    allocation and a memory pass.  The scaled input is checked even inside
+    ``checked_block``: a -inf entry maps to a finite probability of 0 and
+    would pass the block's output check.
     """
     _require_tensor(a, "softmax")
-    if not np.all(np.isfinite(a.data)):
-        raise NonFiniteError("softmax: input has non-finite values")
-    x = a.data
+    scale = float(scale)
     if bias is not None:
         bias = np.asarray(bias, dtype=a.dtype)
         pairs = zip(reversed(bias.shape), reversed(a.shape))
         if bias.ndim > a.ndim or any(k not in (1, n) for k, n in pairs):
             raise ShapeError(f"softmax: bias {bias.shape} does not broadcast to {a.shape}")
-        x = x + bias
-    # exp and the division run in place: each (B, H, s, s) temporary
-    # costs a fresh allocation and a memory pass.
-    out = x - x.max(axis=-1, keepdims=True)
+    out = a.data * scale
+    if not np.all(np.isfinite(out)):
+        raise NonFiniteError("softmax: input has non-finite values")
+    if bias is not None:
+        out += bias
+    out -= out.max(axis=-1, keepdims=True)
     np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True)
 
     def backward_fn(g: np.ndarray):
         dot = (g * out).sum(axis=-1, keepdims=True)
-        return (out * (g - dot),)
+        ga = out * (g - dot)
+        ga *= scale
+        return (ga,)
 
     return Tensor._wrap(out, (a,), backward_fn, "softmax")
 
 
 def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Layer normalization over the last axis with affine gain and bias."""
+    """Layer normalization over the last axis with affine gain and bias.
+
+    The chains run in place, in the float-op order of the formulas in the
+    comments; ``xhat`` and ``inv`` stay alive for the backward pass.
+    """
     _require_tensor(x, "layer_norm")
     _require_tensor(gain, "layer_norm")
     _require_tensor(bias, "layer_norm")
@@ -391,22 +428,29 @@ def layer_norm(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tens
         raise ShapeError(
             f"layer_norm: gain/bias must be shape ({d},), got {gain.shape} and {bias.shape}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    xc = x.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
-    out = xhat * gain.data + bias.data
+    # xhat = (x - mu) / sqrt(var + eps), var = mean((x - mu)**2)
+    xhat = x.data - x.data.mean(axis=-1, keepdims=True)
+    out = xhat * xhat
+    inv = out.mean(axis=-1, keepdims=True)
+    inv += eps
+    np.sqrt(inv, out=inv)
+    np.divide(1.0, inv, out=inv)
+    xhat *= inv
+    # out = xhat * gain + bias
+    np.multiply(xhat, gain.data, out=out)
+    out += bias.data
 
     def backward_fn(g: np.ndarray):
         gx = ggain = gbias = None
         if x.needs_grad:
+            # gx = inv * (gh - mean(gh) - xhat * mean(gh * xhat)), gh = g * gain
             gh = g * gain.data
-            gx = inv * (
-                gh
-                - gh.mean(axis=-1, keepdims=True)
-                - xhat * (gh * xhat).mean(axis=-1, keepdims=True)
-            )
+            gx = gh * xhat
+            m2 = gx.mean(axis=-1, keepdims=True)
+            np.subtract(gh, gh.mean(axis=-1, keepdims=True), out=gx)
+            np.multiply(xhat, m2, out=gh)
+            gx -= gh
+            gx *= inv
         if gain.needs_grad:
             ggain = (g * xhat).reshape(-1, d).sum(axis=0)
         if bias.needs_grad:
@@ -459,19 +503,22 @@ def concat_rows(a: Tensor, b: Tensor) -> Tensor:
     return Tensor._wrap(out, (a, b), backward_fn, "concat_rows")
 
 
-def leading_rows(a: Tensor, n: int) -> Tensor:
-    """The first n rows along the sequence axis (second to last), as a view."""
-    _require_tensor(a, "leading_rows")
-    if a.ndim < 2 or not 1 <= n <= a.shape[-2]:
-        raise ShapeError(f"leading_rows: cannot take {n} rows of {a.shape}")
-    out = a.data[..., :n, :]
+def slice_rows(a: Tensor, start: int, stop: int) -> Tensor:
+    """Rows start..stop-1 along the sequence axis (second to last).
+
+    The backward pass zero-pads the gradient back to ``a``'s shape.
+    """
+    _require_tensor(a, "slice_rows")
+    if a.ndim < 2 or not 0 <= start < stop <= a.shape[-2]:
+        raise ShapeError(f"slice_rows: cannot take rows {start}:{stop} of {a.shape}")
+    out = a.data[..., start:stop, :]
 
     def backward_fn(g: np.ndarray):
         buf = np.zeros(a.shape, dtype=a.dtype)
-        buf[..., :n, :] = g
+        buf[..., start:stop, :] = g
         return (buf,)
 
-    return Tensor._wrap(out, (a,), backward_fn, "leading_rows")
+    return Tensor._wrap(out, (a,), backward_fn, "slice_rows")
 
 
 def reshape(a: Tensor, shape: tuple[int, ...]) -> Tensor:

@@ -246,6 +246,116 @@ def test_forward_rejects_all_padding_example():
         model.logits([[], []])
 
 
+def test_all_padding_example_fails_before_any_block(monkeypatch):
+    model = tiny_model()
+    e, mask = model.embed_batch([[6, 7], []])
+    calls = []
+    norm = T.layer_norm
+    monkeypatch.setattr(T, "layer_norm", lambda *a, **k: calls.append(1) or norm(*a, **k))
+    with pytest.raises(AssemblyError, match="no real token rows to pool"):
+        model.forward(model.assemble_input(e, mask, prompt=T.Tensor(np.ones((2, 16)))))
+    assert calls == []
+
+
+def record_softmax_inputs(monkeypatch) -> list:
+    """Patch T.softmax to log the shape of every input it is given."""
+    shapes = []
+    softmax = T.softmax
+
+    def recording(a, *args, **kwargs):
+        shapes.append(a.shape)
+        return softmax(a, *args, **kwargs)
+
+    monkeypatch.setattr(T, "softmax", recording)
+    return shapes
+
+
+def full_rows_logits(model, toks, prompt, added):
+    """Reference forward: every block on all m + L rows, then pool token rows.
+
+    Written with a separate bias add per projection and a separate 1/sqrt(hd)
+    scale, as the forward was before the last block dropped prompt queries.
+    """
+    cfg, p = model.config, model.params
+    e, mask = model.embed_batch(toks)
+    asm = model.assemble_input(e, mask, prompt=prompt, added=added)
+    m = asm.prompt_len
+    bsz, s, d = asm.values.shape
+    hd = cfg.head_dim
+    x = T.add(asm.values, T.Tensor(model.position_grid(s, m)))
+    key_mask = np.where(asm.mask, 0.0, -1e9)[:, None, None, :]
+
+    def linear(t, w, b=None):
+        out = T.matmul(t, p[w])
+        return out if b is None else T.add(out, T.Tensor(np.broadcast_to(p[b].data, out.shape)))
+
+    def heads(t):
+        return T.transpose(T.reshape(t, (bsz, s, cfg.heads, hd)), (0, 2, 1, 3))
+
+    for i in range(cfg.layers):
+        n = f"layer{i}."
+        pre = T.layer_norm(x, p[n + "ln1.g"], p[n + "ln1.b"])
+        q = heads(linear(pre, n + "attn.wq", n + "attn.bq"))
+        k = heads(linear(pre, n + "attn.wk"))
+        v = heads(linear(pre, n + "attn.wv", n + "attn.bv"))
+        scores = T.scale(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), 1.0 / np.sqrt(hd))
+        ctx = T.matmul(T.softmax(scores, key_mask), v)
+        ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), (bsz, s, d))
+        x = T.add(x, linear(ctx, n + "attn.wo", n + "attn.bo"))
+        pre2 = T.layer_norm(x, p[n + "ln2.g"], p[n + "ln2.b"])
+        h = T.gelu(linear(pre2, n + "ffn.w1", n + "ffn.b1"))
+        x = T.add(x, linear(h, n + "ffn.w2", n + "ffn.b2"))
+    x = T.layer_norm(x, p["lnf.g"], p["lnf.b"])
+    pool = asm.mask.copy()
+    pool[:, :m] = False
+    return linear(T.masked_mean_rows(x, pool), "head.w", "head.b")
+
+
+@pytest.mark.parametrize("m", [0, 1, 5])
+def test_last_block_query_pruning_matches_full_rows(m, monkeypatch):
+    # Perturbed off init so every bias and gain is live in the comparison.
+    rng = np.random.default_rng(10 + m)
+    params = {
+        n: T.Tensor(t.data + rng.normal(0.0, 0.2, size=t.shape), name=n)
+        for n, t in BackboneModel.random_init(TINY, seed=4).params.items()
+    }
+    model = BackboneModel(TINY, params)
+    toks = [[6], [8, 9, 10, 11], [12, 13], [7, 8, 9, 10, 11, 12, 13]]  # L = 7, padding rows
+    labels = np.array([0, 1, 1, 0])
+    P0 = rng.normal(0.0, 0.5, size=(m, 16))
+    Q0 = rng.normal(0.0, 0.5, size=(8, 16))
+
+    def run(logits_fn):
+        P = T.Tensor(P0, trainable=True) if m else None
+        Q = T.Tensor(Q0, trainable=True)
+        logits = logits_fn(toks, P, Q)
+        grads = T.backward(T.softmax_cross_entropy(logits, labels))
+        return logits.data, (grads[P] if m else None), grads[Q]
+
+    ref_logits, ref_gp, ref_gq = run(lambda t, P, Q: full_rows_logits(model, t, P, Q))
+    shapes = record_softmax_inputs(monkeypatch)
+    logits, gp, gq = run(lambda t, P, Q: model.logits(t, prompt=P, added=Q))
+    s = m + 7
+    assert shapes == [(4, 2, s, s)] * (TINY.layers - 1) + [(4, 2, s - m, s)]
+    np.testing.assert_allclose(logits, ref_logits, rtol=0.0, atol=1e-12)
+    np.testing.assert_allclose(gq, ref_gq, rtol=0.0, atol=1e-10)
+    assert np.abs(gq[:7]).max() > 1e-3
+    if m:
+        np.testing.assert_allclose(gp, ref_gp, rtol=0.0, atol=1e-10)
+        assert np.abs(gp).max() > 1e-3
+
+
+def test_last_block_softmax_sees_only_token_queries(monkeypatch):
+    cfg = BackboneConfig(layers=3)
+    model = BackboneModel.random_init(cfg, seed=0)
+    model.freeze()
+    shapes = record_softmax_inputs(monkeypatch)
+    prompt = T.Tensor(np.zeros((16, cfg.d)), dtype=cfg.np_dtype)
+    model.logits([[5, 6, 7], [8, 9, 10, 11, 12]], prompt=prompt)
+    h, s = cfg.heads, 16 + 5
+    assert shapes == [(2, h, s, s), (2, h, s, s), (2, h, 5, s)]
+
+
 @pytest.mark.parametrize("dtype", ["f32", "f64"])
 def test_trimmed_logits_match_padding_to_max_len(dtype):
     # Padding a batch only to its longest example moves float rounding,
@@ -296,6 +406,23 @@ def test_numerics_fingerprint_sees_pretrain_schedule(monkeypatch):
         B, "warmup_decay_lr", lambda base, step, warmup, total: warmup_lr(base, step, warmup)
     )
     assert numerics_fingerprint() != decayed
+
+
+def test_numerics_fingerprint_sees_prompt_gradients(monkeypatch):
+    # The row-slice op carries both the added grid and the last block's
+    # token rows, so a change to its backward alone must change the digest.
+    base = numerics_fingerprint()
+    slice_rows = T.slice_rows
+
+    def scaled_backward(a, start, stop):
+        out = slice_rows(a, start, stop)
+        if out._backward is not None:
+            inner = out._backward
+            out._backward = lambda g: tuple(x * (1.0 + 1e-6) for x in inner(g))
+        return out
+
+    monkeypatch.setattr(T, "slice_rows", scaled_backward)
+    assert numerics_fingerprint() != base
 
 
 def test_added_rows_past_batch_width_get_zero_gradient():

@@ -265,8 +265,12 @@ def test_primitive_gradients_match_fd(seed):
             lambda t: T.mean_all(T.add(t["a"], t["b"])),
         ),
         (
-            {"a": rng.normal(size=(B, s, d)), "b": rng.normal(size=(d,))},
-            lambda t: T.mean_all(T.add(t["a"], t["b"])),
+            {
+                "a": rng.normal(size=(B, s, d)),
+                "w": rng.normal(size=(d, 2)),
+                "b": rng.normal(size=(2,)),
+            },
+            lambda t: T.mean_all(T.gelu(T.matmul(t["a"], t["w"], t["b"]))),
         ),
         (
             {"a": rng.normal(size=(B, s, d)), "b": rng.normal(size=(s, d))},
@@ -291,6 +295,10 @@ def test_primitive_gradients_match_fd(seed):
         (
             {"a": rng.normal(size=(B, 2, s, s)), "w": rng.normal(size=(B, 2, s, s))},
             lambda t: T.sum_all(T.mul(T.softmax(t["a"], key_bias), t["w"])),
+        ),
+        (
+            {"a": rng.normal(size=(B, 2, s, s)), "w": rng.normal(size=(B, 2, s, s))},
+            lambda t: T.sum_all(T.mul(T.softmax(t["a"], key_bias, scale=0.35), t["w"])),
         ),
         (
             {
@@ -318,7 +326,7 @@ def test_primitive_gradients_match_fd(seed):
         ),
         (
             {"a": rng.normal(size=(s + 2, d)), "b": rng.normal(size=(B, s, d))},
-            lambda t: T.mean_all(T.gelu(T.add(t["b"], T.leading_rows(t["a"], s)))),
+            lambda t: T.mean_all(T.gelu(T.add(t["b"], T.slice_rows(t["a"], 0, s)))),
         ),
         (
             {"x": rng.normal(size=(B, s, d))},
@@ -360,6 +368,117 @@ def test_softmax_rejects_bias_that_does_not_broadcast_to_input(bias_shape):
     a = T.Tensor(np.zeros((2, 1, 4)))
     with pytest.raises(T.ShapeError, match="softmax"):
         T.softmax(a, np.zeros(bias_shape))
+
+
+# ---------------------------------------------------------------------------
+# fused and in-place ops: the same float32 bits as the unfused formulas
+
+
+def upstream(out: T.Tensor, seed: int) -> np.ndarray:
+    """A fixed float32 output gradient; sum_all(mul(out, G)) hands op `out` exactly G."""
+    return np.random.default_rng(seed).normal(size=out.shape).astype(np.float32)
+
+
+def grads_under(out: T.Tensor, g: np.ndarray, *leaves: T.Tensor) -> list[np.ndarray]:
+    grads = T.backward(T.sum_all(T.mul(out, T.Tensor(g))))
+    return [grads[leaf] for leaf in leaves]
+
+
+def f32_leaves(rng, *shapes) -> list[T.Tensor]:
+    return [T.Tensor(rng.normal(size=shape).astype(np.float32), trainable=True) for shape in shapes]
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_matmul_bias_is_bitwise_the_separate_add(seed):
+    rng = np.random.default_rng(seed)
+    a, w, b = f32_leaves(rng, (4, 7, 16), (16, 24), (24,))
+    fused = T.matmul(a, w, b)
+    g = upstream(fused, seed)
+    ga, gw, gb = grads_under(fused, g, a, w, b)
+
+    a2, w2 = (T.Tensor(t.data, trainable=True) for t in (a, w))
+    product = T.matmul(a2, w2)
+    split = T.add(product, T.Tensor(np.broadcast_to(b.data, product.shape)))
+    ga2, gw2 = grads_under(split, g, a2, w2)
+    assert fused.data.tobytes() == split.data.tobytes()
+    assert ga.tobytes() == ga2.tobytes() and gw.tobytes() == gw2.tobytes()
+    assert gb.tobytes() == g.reshape(-1, 24).sum(axis=0).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_softmax_scale_is_bitwise_the_separate_scale(seed):
+    rng = np.random.default_rng(seed)
+    (a,) = f32_leaves(rng, (2, 3, 5, 6))
+    keep = rng.random((2, 6)) > 0.3
+    keep[:, 0] = True
+    key_mask = np.where(keep, 0.0, -1e9).astype(np.float32)[:, None, None, :]
+    c = 1.0 / np.sqrt(12.0)  # not a power of two, so the scaling rounds
+    fused = T.softmax(a, key_mask, scale=c)
+    g = upstream(fused, seed)
+    (ga,) = grads_under(fused, g, a)
+
+    a2 = T.Tensor(a.data, trainable=True)
+    split = T.softmax(T.scale(a2, c), key_mask)
+    (ga2,) = grads_under(split, g, a2)
+    assert fused.data.tobytes() == split.data.tobytes()
+    assert ga.tobytes() == ga2.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_gelu_is_bitwise_the_written_out_formula(seed):
+    rng = np.random.default_rng(seed)
+    (a,) = f32_leaves(rng, (4, 7, 32))
+    out = T.gelu(a)
+    g = upstream(out, seed)
+    (ga,) = grads_under(out, g, a)
+
+    x, k, c = a.data, T._GELU_K, T._GELU_C
+    th = np.tanh(k * (x + c * (x * x * x)))
+    ref = 0.5 * x * (1.0 + th)
+    du = k * (1.0 + 3.0 * c * (x * x))
+    local = 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th * th) * du
+    assert out.data.tobytes() == ref.tobytes()
+    assert ga.tobytes() == (g * local).tobytes()
+
+
+@pytest.mark.parametrize("seed", range(3))
+def test_layer_norm_is_bitwise_the_written_out_formula(seed):
+    rng = np.random.default_rng(seed)
+    x, gain, bias = f32_leaves(rng, (4, 7, 16), (16,), (16,))
+    out = T.layer_norm(x, gain, bias)
+    g = upstream(out, seed)
+    gx, ggain, gbias = grads_under(out, g, x, gain, bias)
+
+    mu = x.data.mean(axis=-1, keepdims=True)
+    xc = x.data - mu
+    var = (xc * xc).mean(axis=-1, keepdims=True)
+    inv = 1.0 / np.sqrt(var + 1e-5)
+    xhat = xc * inv
+    ref = xhat * gain.data + bias.data
+    gh = g * gain.data
+    ref_gx = inv * (
+        gh - gh.mean(axis=-1, keepdims=True) - xhat * (gh * xhat).mean(axis=-1, keepdims=True)
+    )
+    assert out.data.tobytes() == ref.tobytes()
+    assert gx.tobytes() == ref_gx.tobytes()
+    assert ggain.tobytes() == (g * xhat).reshape(-1, 16).sum(axis=0).tobytes()
+    assert gbias.tobytes() == g.reshape(-1, 16).sum(axis=0).tobytes()
+
+
+def test_matmul_rejects_a_bias_of_the_wrong_width():
+    with pytest.raises(T.ShapeError, match="bias"):
+        T.matmul(T.Tensor(np.ones((2, 3))), T.Tensor(np.ones((3, 4))), T.Tensor(np.ones(3)))
+
+
+def test_slice_rows_pads_its_gradient_with_zeros():
+    a = T.Tensor(np.arange(24.0).reshape(2, 4, 3), trainable=True)
+    out = T.slice_rows(a, 1, 3)
+    assert np.array_equal(out.data, a.data[:, 1:3])
+    (g,) = grads_under(out, np.ones(out.shape), a)
+    assert np.array_equal(g, np.repeat([[0.0, 1.0, 1.0, 0.0]], 2, axis=0)[:, :, None] * np.ones(3))
+    for start, stop in [(2, 2), (-1, 2), (0, 5)]:
+        with pytest.raises(T.ShapeError, match="slice_rows"):
+            T.slice_rows(a, start, stop)
 
 
 def test_float32_gradients_within_loose_tolerance():
