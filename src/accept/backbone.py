@@ -219,7 +219,7 @@ class BackboneModel:
             def setter(t, n=name):
                 self.params[n] = t
 
-            refs.append(ParamRef(getter, setter, "backbone", name))
+            refs.append(ParamRef(getter, setter, "backbone"))
         return refs
 
     def hash_params(self) -> str:

@@ -27,6 +27,7 @@ import json
 import os
 import shutil
 import time
+import typing
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -150,10 +151,42 @@ def _require(obj: dict, key: str, where: str):
     return obj[key]
 
 
+def _check_types(obj, types: dict, where: str) -> None:
+    """obj must be an object whose keys named in `types` hold values of that type.
+
+    A type may be a union such as ``int | None``.  An int passes where a
+    float is declared; a bool passes only where bool is declared.
+    """
+    if not isinstance(obj, dict):
+        raise ConfigError(f"{where}: must be an object")
+    for key, tp in types.items():
+        if key not in obj:
+            continue
+        value = obj[key]
+        kinds = typing.get_args(tp) or (tp,)
+        if float in kinds:
+            kinds += (int,)
+        if (isinstance(value, bool) and bool not in kinds) or not isinstance(value, kinds):
+            raise ConfigError(f"{where}.{key} must be {getattr(tp, '__name__', tp)}, got {value!r}")
+
+
+def _build(cls, obj, where: str):
+    """cls(**obj), once obj's values match the annotations of cls's fields."""
+    _check_types(obj, typing.get_type_hints(cls), where)
+    try:
+        return cls(**obj)
+    except TypeError as err:
+        raise ConfigError(f"{where}: {err}") from None
+
+
+_BLOCK_TYPES = {"m": int, "K": int, "budget": int | None, "r": int | None}
+
+
 def parse_dataset(obj, where: str, split: str) -> Dataset:
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: dataset spec must be an object")
     if "jsonl" in obj:
+        _check_types(obj, {"num_classes": int | None, "vocab_size": int | None}, where)
         return load_jsonl(
             obj["jsonl"],
             num_classes=obj.get("num_classes"),
@@ -161,6 +194,7 @@ def parse_dataset(obj, where: str, split: str) -> Dataset:
             split=split,
         )
     kind = _require(obj, "kind", where)
+    _check_types(obj, dict.fromkeys(("n", "length", "vocab_size"), int), where)
     return gen_task(
         kind,
         n=_require(obj, "n", where),
@@ -184,16 +218,10 @@ def parse_backbone(obj, where: str = "backbone") -> BackboneModel:
         return BackboneModel.load(obj["path"])
     cfg_obj = _require(obj, "config", where)
     pre_obj = _require(obj, "pretrain", where)
-    try:
-        config = BackboneConfig(**cfg_obj)
-    except TypeError as err:
-        raise ConfigError(f"{where}.config: {err}") from None
+    config = _build(BackboneConfig, cfg_obj, f"{where}.config")
     task_specs = _require(pre_obj, "tasks", f"{where}.pretrain")
     pre_fields = {k: v for k, v in pre_obj.items() if k != "tasks"}
-    try:
-        pre = PretrainConfig(**pre_fields)
-    except TypeError as err:
-        raise ConfigError(f"{where}.pretrain: {err}") from None
+    pre = _build(PretrainConfig, pre_fields, f"{where}.pretrain")
     cache = obj.get("cache_dir")
     if cache:
         recipe_path = Path(cache, "recipe.json")
@@ -238,8 +266,7 @@ def parse_prompt_block(obj, d: int, component: str, positions: int | None = None
     the model grid for added prompts.  When r is omitted it is solved
     from the budget; an explicit r is still checked against the budget.
     """
-    if not isinstance(obj, dict):
-        raise ConfigError(f"{component}: must be an object")
+    _check_types(obj, _BLOCK_TYPES, component)
     K = _require(obj, "K", component)
     validate_partition(d, K)
     if positions is None:
@@ -286,7 +313,14 @@ class ResolvedExperiment(SharedInputs):
 
 
 def resolve_shared(spec: dict) -> SharedInputs:
-    """Resolve spec's backbone and datasets, and check its schedule."""
+    """Check spec's schedule and prompt-block numbers, then resolve its
+    backbone and datasets."""
+    # Checked before any pretraining, and even when a verb ends up with
+    # no cells to resolve.
+    _schedule(spec)
+    for key in _PROMPT_KEYS:
+        if key in spec:
+            _check_types(spec[key], _BLOCK_TYPES, key)
     model = parse_backbone(_require(spec, "backbone", "experiment"))
     train_set = parse_dataset(_require(spec, "train_set", "experiment"), "train_set", "train")
     eval_set = parse_dataset(_require(spec, "eval_set", "experiment"), "eval_set", "eval")
@@ -294,19 +328,12 @@ def resolve_shared(spec: dict) -> SharedInputs:
         raise ConfigError(
             f"train/eval class counts differ: {train_set.num_classes} vs {eval_set.num_classes}"
         )
-    _schedule(spec)  # fails even when a verb ends up with no cells to resolve
     return SharedInputs(model, train_set, eval_set)
 
 
 def _schedule(spec: dict) -> tuple[RunConfig, InitStrategy]:
-    try:
-        run_config = RunConfig(**spec.get("run", {}))
-    except TypeError as err:
-        raise ConfigError(f"run: {err}") from None
-    try:
-        init = InitStrategy(**spec.get("init", {"kind": "random"}))
-    except TypeError as err:
-        raise ConfigError(f"init: {err}") from None
+    run_config = _build(RunConfig, spec.get("run", {}), "run")
+    init = _build(InitStrategy, spec.get("init", {"kind": "random"}), "init")
     return run_config, init
 
 
@@ -317,8 +344,10 @@ def resolve_prompts(
     run_config, init = _schedule(spec)
     train_set = shared.train_set
     if "fewshot" in spec:
+        fewshot = spec["fewshot"]
+        _check_types(fewshot, dict.fromkeys(("gamma", "base_seed", "seed_index"), int), "fewshot")
         try:
-            train_set = fewshot_sample(train_set, **spec["fewshot"])
+            train_set = fewshot_sample(train_set, **fewshot)
         except TypeError as err:
             raise ConfigError(f"fewshot: {err}") from None
     d = shared.model.config.d
@@ -331,12 +360,9 @@ def resolve_prompts(
         scap = parse_prompt_block(spec["scap"], d, "scap", positions=shared.model.config.max_len)
         check_budget(scap, "scap", allow_over_budget)
     if "direct_prepend" in spec:
-        block = spec["direct_prepend"]
-        if not isinstance(block, dict) or "m" not in block:
-            raise ConfigError("direct_prepend: must be an object with 'm'")
         if scpp is not None:
             raise ConfigError("direct_prepend and scpp are mutually exclusive")
-        direct = int(block["m"])
+        direct = _require(spec["direct_prepend"], "m", "direct_prepend")
         if direct < 1:
             raise ConfigError(f"direct_prepend.m must be >= 1, got {direct}")
     if scpp is None and scap is None and direct is None:

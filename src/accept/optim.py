@@ -1,11 +1,16 @@
 """Adaptive-moment optimizer with decoupled weight decay, plus warmup.
 
 Tensors are immutable, so optimized parameters live in mutable containers
-(model param dicts, prompt slots).  Each ParamRef knows how to read the
-current leaf tensor and write a replacement; the optimizer owns the moment
-state and steps all refs with per-group learning rates.
+(model param dicts, prompt slots).  A ParamRef has three fields: ``get``
+returns the current leaf tensor, ``set`` stores a replacement, and
+``lr_key`` names its learning-rate group.  The optimizer owns the moment
+state and steps all refs with per-group learning rates; each step stores a
+new leaf rather than writing into the old one, so a held leaf never changes.
 """
 from __future__ import annotations
+
+from collections.abc import Callable
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -43,22 +48,13 @@ def warmup_decay_lr(base: float, step: int, warmup: int, total: int) -> float:
     return base * (total + 1 - step) / (total + 1 - warmup)
 
 
+@dataclass(frozen=True)
 class ParamRef:
-    """Read/write handle for one optimized tensor plus its lr group."""
+    """Read/write handle for one optimized leaf plus its lr group."""
 
-    __slots__ = ("getter", "setter", "lr_key", "name")
-
-    def __init__(self, getter, setter, lr_key: str, name: str):
-        self.getter = getter
-        self.setter = setter
-        self.lr_key = lr_key
-        self.name = name
-
-    def get(self) -> Tensor:
-        return self.getter()
-
-    def set(self, t: Tensor) -> None:
-        self.setter(t)
+    get: Callable[[], Tensor]
+    set: Callable[[Tensor], None]
+    lr_key: str
 
 
 class AdamW:

@@ -125,11 +125,11 @@ class Tensor:
     ``data`` is a C-contiguous float32/float64 numpy array, locked
     read-only at construction.  Leaves are built directly (trainable or
     frozen); interior nodes come from the op functions in this module and
-    carry a backward closure.  Gradients are never accumulated into frozen
-    leaves: after backward(), ``grad`` is set only on trainable leaves.
+    carry a backward closure.  A tensor holds no gradient: backward()
+    returns them in a map keyed by trainable leaf.
     """
 
-    __slots__ = ("data", "trainable", "needs_grad", "grad", "_parents", "_backward", "name")
+    __slots__ = ("data", "trainable", "needs_grad", "_parents", "_backward", "name")
 
     def __init__(self, data, trainable: bool = False, name: str | None = None, dtype=None):
         arr = np.array(data, dtype=dtype, order="C", copy=True)
@@ -140,7 +140,6 @@ class Tensor:
         self.data = arr
         self.trainable = bool(trainable)
         self.needs_grad = self.trainable
-        self.grad: np.ndarray | None = None
         self._parents: tuple[Tensor, ...] = ()
         self._backward = None
         self.name = name
@@ -159,7 +158,6 @@ class Tensor:
         obj.data = arr
         obj.trainable = False
         obj.needs_grad = any(p.needs_grad for p in parents)
-        obj.grad = None
         if obj.needs_grad:
             obj._parents = parents
             obj._backward = backward_fn
@@ -657,10 +655,10 @@ def mean_squared_error(pred: Tensor, target) -> Tensor:
 def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
     """Reverse-mode sweep from a scalar loss.
 
-    Returns a map from each trainable leaf to dLoss/dLeaf and stores the
-    same array on the leaf's ``grad`` field.  Frozen leaves never appear in
-    the map and never accumulate gradient.  The traversal visits each node
-    exactly once, in a deterministic order fixed by graph construction.
+    Returns a map from each trainable leaf to dLoss/dLeaf; the map is the
+    only place gradients are kept.  Frozen leaves never appear in it.  The
+    traversal visits each node exactly once, in a deterministic order fixed
+    by graph construction.
     """
     _require_tensor(loss, "backward")
     if loss.ndim != 0:
@@ -691,7 +689,6 @@ def backward(loss: Tensor) -> dict[Tensor, np.ndarray]:
             continue
         if node._backward is None:
             if node.trainable and not node._parents:
-                node.grad = g
                 result[node] = g
             continue
         parts = node._backward(g)

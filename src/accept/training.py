@@ -14,6 +14,7 @@ from __future__ import annotations
 import dataclasses
 import json
 from dataclasses import dataclass, field
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -113,8 +114,8 @@ class RunHistory:
     best: BestRecord | None = None
     # Loss at every optimization step, for trajectory-level comparisons.
     step_losses: list[float] = field(default_factory=list)
-    # Prompt arrays snapshotted at the best evaluation.
-    best_snapshot: dict | None = None
+    # PromptSet.snapshot() taken at the best evaluation.
+    best_snapshot: tuple[Tensor, ...] | None = None
 
 
 # -- prompt containers ---------------------------------------------------------
@@ -144,47 +145,11 @@ class FactorizedPrompt:
         return compose(self.codebook, self.weights)
 
     def param_refs(self, lr_key: str) -> list[ParamRef]:
-        refs = []
-        if self.codebook.entries.trainable:
-            refs.append(
-                ParamRef(
-                    lambda: self.codebook.entries,
-                    lambda t: setattr(self.codebook, "entries", t),
-                    lr_key,
-                    f"{lr_key}.codebook",
-                )
-            )
-        if self.weights.entries.trainable:
-            refs.append(
-                ParamRef(
-                    lambda: self.weights.entries,
-                    lambda t: setattr(self.weights, "entries", t),
-                    lr_key,
-                    f"{lr_key}.weights",
-                )
-            )
-        return refs
-
-    def trainable_count(self) -> int:
-        return sum(
-            t.size for t in (self.codebook.entries, self.weights.entries) if t.trainable
-        )
-
-    def snapshot(self) -> dict:
-        return {
-            "codebook": self.codebook.entries.data.copy(),
-            "weights": self.weights.entries.data.copy(),
-        }
-
-    def load_snapshot(self, snap: dict) -> None:
-        cb = self.codebook.entries
-        ws = self.weights.entries
-        self.codebook.entries = Tensor(
-            snap["codebook"], trainable=cb.trainable, name=cb.name, dtype=cb.dtype
-        )
-        self.weights.entries = Tensor(
-            snap["weights"], trainable=ws.trainable, name=ws.name, dtype=ws.dtype
-        )
+        return [
+            ParamRef(partial(getattr, f, "entries"), partial(setattr, f, "entries"), lr_key)
+            for f in (self.codebook, self.weights)
+            if f.entries.trainable
+        ]
 
 
 class DirectPrompt:
@@ -209,24 +174,7 @@ class DirectPrompt:
     def param_refs(self, lr_key: str) -> list[ParamRef]:
         if not self.matrix.trainable:
             return []
-        return [
-            ParamRef(
-                lambda: self.matrix,
-                lambda t: setattr(self, "matrix", t),
-                lr_key,
-                f"{lr_key}.matrix",
-            )
-        ]
-
-    def trainable_count(self) -> int:
-        return self.matrix.size if self.matrix.trainable else 0
-
-    def snapshot(self) -> dict:
-        return {"matrix": self.matrix.data.copy()}
-
-    def load_snapshot(self, snap: dict) -> None:
-        m = self.matrix
-        self.matrix = Tensor(snap["matrix"], trainable=m.trainable, name=m.name, dtype=m.dtype)
+        return [ParamRef(partial(getattr, self, "matrix"), partial(setattr, self, "matrix"), lr_key)]
 
 
 @dataclass
@@ -259,21 +207,30 @@ class PromptSet:
         return refs
 
     def trainable_count(self) -> int:
-        return sum(comp.trainable_count() for _, comp in self.components())
+        return sum(ref.get().size for ref in self.param_refs())
 
-    def snapshot(self) -> dict:
-        return {key: comp.snapshot() for key, comp in self.components()}
+    def snapshot(self) -> tuple[Tensor, ...]:
+        """The trainable leaves themselves.
 
-    def load_snapshot(self, snap: dict) -> None:
-        for key, comp in self.components():
-            comp.load_snapshot(snap[key])
+        Tensors are immutable and an optimizer step stores new leaves, so
+        holding the current ones is a copy.  Frozen leaves never change, so
+        a snapshot leaves them out.
+        """
+        return tuple(ref.get() for ref in self.param_refs())
+
+    def load_snapshot(self, snap: tuple[Tensor, ...]) -> None:
+        for ref, leaf in zip(self.param_refs(), snap, strict=True):
+            ref.set(leaf)
 
 
 # -- forward plumbing ----------------------------------------------------------
 
 
-def _check_dims(model: BackboneModel, prompts: PromptSet, *datasets: Dataset) -> None:
-    """Prompts and datasets must fit the model's width, grid, dtype, head and vocab."""
+def _check_dims(
+    model: BackboneModel, prompts: PromptSet, metric_name: str, *datasets: Dataset
+) -> None:
+    """Prompts and datasets must fit the model's width, grid, dtype, head and
+    vocab, and the metric must fit the datasets' labels."""
     cfg = model.config
     for key, comp in prompts.components():
         if comp.d != cfg.d:
@@ -298,6 +255,15 @@ def _check_dims(model: BackboneModel, prompts: PromptSet, *datasets: Dataset) ->
             raise ContractError(
                 f"{ds.split} set declares vocab_size {ds.vocab_size}, model has {cfg.vocab_size}"
             )
+        if ds.num_classes == 1 and metric_name != "pearson":
+            raise ContractError(
+                f"{ds.split} set is a regression task; metric {metric_name!r} "
+                f"needs class labels (use 'pearson')"
+            )
+        if metric_name in ("f1_binary", "matthews") and ds.num_classes != 2:
+            raise ContractError(
+                f"metric {metric_name!r} needs 2 classes, {ds.split} set has {ds.num_classes}"
+            )
 
 
 def _batch_loss(model: BackboneModel, prompts: PromptSet, examples, num_classes: int) -> Tensor:
@@ -321,7 +287,7 @@ def evaluate(
     Builds no autodiff graph: the prompt rows enter the frozen model as
     constant leaves, so each batch's intermediates are freed as it runs.
     """
-    _check_dims(model, prompts, dataset)
+    _check_dims(model, prompts, metric_name, dataset)
     rows = [None if r is None else Tensor(r.data, dtype=r.dtype) for r in prompts.rows()]
     preds = []
     for start in range(0, len(dataset), batch_size):
@@ -352,7 +318,7 @@ def train(
     """
     if not model.frozen:
         raise ContractError("model must be frozen before adaptation")
-    _check_dims(model, prompts, train_set, eval_set)
+    _check_dims(model, prompts, config.metric, train_set, eval_set)
     history = RunHistory()
     if config.steps == 0:
         return prompts, history

@@ -685,8 +685,8 @@ def test_frozen_theta_survives_adaptation_steps():
     dims = PromptDims(positions=2, d=16, K=2, r=2)
     C, W = init_random(dims, seed=0, dtype=np.float64)
     refs = [
-        ParamRef(lambda: C.entries, lambda t: setattr(C, "entries", t), "p", "C"),
-        ParamRef(lambda: W.entries, lambda t: setattr(W, "entries", t), "p", "W"),
+        ParamRef(lambda: C.entries, lambda t: setattr(C, "entries", t), "p"),
+        ParamRef(lambda: W.entries, lambda t: setattr(W, "entries", t), "p"),
     ]
     opt = AdamW(refs)
     e, mask = model.embed_batch([[6, 7], [8, 9]])

@@ -665,6 +665,19 @@ def test_multi_run_verb_pretrains_inline_backbone_once(tmp_path, capsys, monkeyp
     assert len(list((tmp_path / "runs").iterdir())) > 1
 
 
+@pytest.mark.parametrize(
+    "verb_args", [["train"], *MULTI_RUN_VERBS.values()], ids=["train", *MULTI_RUN_VERBS.keys()]
+)
+def test_mistyped_budget_exits_2_before_pretraining(tmp_path, capsys, monkeypatch, verb_args):
+    calls = count_pretrains(monkeypatch)
+    spec = inline_config()
+    spec["scpp"]["budget"] = "100"
+    cfg = write_config(tmp_path, spec)
+    assert main([*verb_args, cfg, "--runs-dir", str(tmp_path / "runs")]) == 2
+    assert "scpp.budget" in capsys.readouterr().err
+    assert calls == []
+
+
 def test_sweep_cell_matches_standalone_train_of_its_config(tmp_path, capsys):
     cfg = write_config(tmp_path, inline_config())
     cases = [
@@ -828,6 +841,81 @@ def test_config_rejects_malformed_fewshot_field(tmp_path, tiny_backbone_dir, cap
     cfg = write_config(tmp_path, base_config(tiny_backbone_dir, fewshot={"gamma": 4}))
     assert main(["train", cfg, "--runs-dir", str(tmp_path / "runs")]) == 2
     assert "fewshot:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [
+        ("scpp.K", "2"),
+        ("scpp.m", 2.5),
+        ("scpp.m", True),
+        ("scpp.budget", "100"),
+        ("scpp.r", 1.5),
+        ("run.lr_scpp", "0.1"),
+        ("run.stop_at_metric", "0.5"),
+        ("run.seed", 1.5),
+        ("run.batch_size", 8.0),
+        ("train_set.n", "32"),
+        ("eval_set.length", "6"),
+    ],
+)
+def test_config_rejects_mistyped_numbers(
+    tmp_path, tiny_backbone_dir, monkeypatch, capsys, field, value
+):
+    import accept.experiments
+
+    calls = []
+    monkeypatch.setattr(accept.experiments, "train", lambda *a, **k: calls.append(a))
+    spec = base_config(tiny_backbone_dir)
+    section, key = field.split(".")
+    spec[section][key] = value
+    cfg = write_config(tmp_path, spec)
+    assert main(["train", cfg, "--runs-dir", str(tmp_path / "runs")]) == 2
+    assert field in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.fixture(scope="module")
+def regression_backbone_dir(tmp_path_factory):
+    """A randomly initialised one-output backbone for count-regression runs."""
+    from accept.backbone import BackboneConfig, BackboneModel
+
+    path = tmp_path_factory.mktemp("bb") / "regression"
+    cfg = BackboneConfig(
+        d=16, layers=1, heads=2, vocab_size=32, max_len=8, num_classes=1, dtype="f32"
+    )
+    BackboneModel.random_init(cfg, seed=0).save(path)
+    return path
+
+
+@pytest.mark.parametrize("metric", ["accuracy", "f1_binary", "matthews", "pearson"])
+def test_metric_must_fit_regression_labels_before_any_step(
+    tmp_path, regression_backbone_dir, monkeypatch, capsys, metric
+):
+    from accept.optim import AdamW
+
+    steps = []
+    step = AdamW.step
+
+    def counting_step(self, *args):
+        steps.append(1)
+        return step(self, *args)
+
+    monkeypatch.setattr(AdamW, "step", counting_step)
+    task = {"kind": "count-regression", "length": 6, "vocab_size": 32}
+    spec = base_config(
+        regression_backbone_dir,
+        train_set={**task, "n": 64, "seed": 5},
+        eval_set={**task, "n": 32, "seed": 6},
+    )
+    spec["run"]["metric"] = metric
+    cfg = write_config(tmp_path, spec)
+    rc = main(["train", cfg, "--runs-dir", str(tmp_path / "runs")])
+    if metric == "pearson":
+        assert rc == 0 and len(steps) == spec["run"]["steps"]
+    else:
+        assert rc == 2 and steps == []
+        assert metric in capsys.readouterr().err
 
 
 def test_direct_prepend_trains_plain_prompt_rows(tmp_path, tiny_backbone_dir, capsys):

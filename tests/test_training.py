@@ -13,7 +13,7 @@ from accept.factorization import (
     init_random,
     one_hot_weights,
 )
-from accept.optim import TrainingError, warmup_decay_lr, warmup_lr
+from accept.optim import AdamW, TrainingError, warmup_decay_lr, warmup_lr
 from accept.tasks import gen_task
 from accept.training import (
     BestRecord,
@@ -120,10 +120,7 @@ def test_zero_steps_returns_prompts_unchanged():
     out, history = train(RunConfig(steps=0, warmup_steps=0), model, prompts, tiny_task(), tiny_task(1))
     assert out is prompts
     assert history.records == [] and history.best is None and history.step_losses == []
-    after = prompts.snapshot()
-    for key in before:
-        for part in before[key]:
-            assert np.array_equal(before[key][part], after[key][part])
+    assert prompts.snapshot() == before
 
 
 def test_train_rejects_unfrozen_model():
@@ -217,9 +214,7 @@ def test_run_is_deterministic():
     h2, s2 = run()
     assert h1.step_losses == h2.step_losses
     assert h1.records == h2.records
-    for key in s1:
-        for part in s1[key]:
-            assert np.array_equal(s1[key][part], s2[key][part])
+    assert [leaf.data.tobytes() for leaf in s1] == [leaf.data.tobytes() for leaf in s2]
 
 
 def test_nan_loss_aborts_with_step_index():
@@ -246,6 +241,37 @@ def test_best_snapshot_reproduces_best_metric():
     prompts.load_snapshot(history.best_snapshot)
     again = evaluate(model, prompts, tiny_task(seed=8), cfg.metric)
     assert again == history.best.metric
+
+
+def test_optimizer_step_leaves_held_leaves_untouched():
+    # Snapshots hold leaves instead of copying them; that is sound only
+    # because a step stores new leaves and never writes into old ones.
+    model = frozen_model()
+    prompts = fresh_prompts()
+    refs = prompts.param_refs()
+    held = [ref.get() for ref in refs]
+    before = [leaf.data.tobytes() for leaf in held]
+    opt = AdamW(refs)
+    batch = tiny_task().examples[:8]
+    logits = model.logits([ex.tokens for ex in batch], *prompts.rows())
+    loss = T.softmax_cross_entropy(logits, np.array([ex.label for ex in batch]))
+    opt.step(T.backward(loss), {"scpp": 0.1, "scap": 0.1})
+    for ref, leaf, raw in zip(refs, held, before):
+        assert ref.get() is not leaf
+        assert ref.get().data.tobytes() != raw
+        assert leaf.data.tobytes() == raw
+        assert not leaf.data.flags.writeable
+
+
+def test_snapshot_holds_the_current_leaves_themselves():
+    prompts = PromptSet(
+        prepended=DirectPrompt(Tensor(np.ones((2, 16), dtype=np.float32), trainable=True)),
+        added=fresh_prompts().added,
+    )
+    snap = prompts.snapshot()
+    leaves = (prompts.prepended.matrix, prompts.added.codebook.entries, prompts.added.weights.entries)
+    assert len(snap) == len(leaves)
+    assert all(s is leaf for s, leaf in zip(snap, leaves))
 
 
 # -- degeneracy to vanilla prompt tuning ----------------------------------------------
@@ -408,4 +434,3 @@ def test_evaluate_builds_no_graph_and_matches_the_trainable_forward(monkeypatch)
         with_tape = model.logits([ex.tokens for ex in chunk], *prompts.rows())
         assert with_tape.needs_grad
         assert logits.data.tobytes() == with_tape.data.tobytes()
-    assert prompts.param_refs() and all(ref.get().grad is None for ref in prompts.param_refs())
