@@ -138,7 +138,7 @@ def cmd_eval(args) -> int:
     if not best_dir.exists():
         raise ConfigError(f"{run_dir} has no best/ checkpoint to evaluate")
     trained_on = json.loads((run_dir / "summary.json").read_text(encoding="utf-8"))["backbone_hash"]
-    resolved = resolve_experiment(spec, allow_over_budget=True)
+    resolved = resolve_experiment(spec, run_dir.parent, allow_over_budget=True)
     current = resolved.model.hash_params()
     if trained_on != current:
         raise ConfigError(f"{run_dir} was trained on backbone {trained_on}, config gives {current}")

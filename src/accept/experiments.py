@@ -6,7 +6,8 @@ paths), the prompt components with their parameter budgets, the run
 schedule, the initialization strategy, and optionally a few-shot subset
 of the train set.  Every run lands in its own directory keyed by a hash
 of the resolved config, holding config.json, history.csv, a best/ prompt
-checkpoint, and summary.json.
+checkpoint, and summary.json.  An inline recipe's backbone is pretrained
+once into the runs root's store, .backbones/<key>/, and loaded from there.
 
 The multi-run verbs (granularity sweep, ablation grid, few-shot protocol,
 length sweep) resolve the backbone and datasets once, write each cell as
@@ -195,56 +196,56 @@ def parse_dataset(obj, where: str, split: str) -> Dataset:
         )
     kind = _require(obj, "kind", where)
     _check_types(obj, dict.fromkeys(("n", "length", "vocab_size"), int), where)
+    seed = _require(obj, "seed", where)
+    if not all(type(s) is int and s >= 0 for s in (seed if isinstance(seed, list) else [seed])):
+        raise ConfigError(f"{where}.seed must be an int >= 0 or a list of them, got {seed!r}")
     return gen_task(
         kind,
         n=_require(obj, "n", where),
         length=_require(obj, "length", where),
         vocab_size=_require(obj, "vocab_size", where),
-        seed=_require(obj, "seed", where),
+        seed=seed,
         split=split,
     )
 
 
-def parse_backbone(obj, where: str = "backbone") -> BackboneModel:
-    """Load a saved backbone, or pretrain an inline recipe.
+def parse_backbone(obj, runs_root, where: str = "backbone") -> BackboneModel:
+    """Load a saved backbone, or an inline recipe's model from the store.
 
-    An inline recipe's cache_dir is reused only when its recipe.json holds
-    this recipe and this code's numerics fingerprint; otherwise the recipe
-    is pretrained afresh and overwrites the cache.
+    The store entry is <runs_root>/.backbones/<key>/, the key hashing the
+    recipe, its pretraining examples and this code's numerics fingerprint.
+    A missing entry is pretrained and written whole, so an entry that
+    exists is complete.
     """
     if not isinstance(obj, dict):
         raise ConfigError(f"{where}: must be an object with 'path' or 'config'+'pretrain'")
+    unknown = sorted(set(obj) - ({"path"} if "path" in obj else {"config", "pretrain"}))
+    if unknown:
+        raise ConfigError(f"{where}: unknown field {unknown[0]!r}")
     if "path" in obj:
         return BackboneModel.load(obj["path"])
-    cfg_obj = _require(obj, "config", where)
+    config = _build(BackboneConfig, _require(obj, "config", where), f"{where}.config")
     pre_obj = _require(obj, "pretrain", where)
-    config = _build(BackboneConfig, cfg_obj, f"{where}.config")
+    _check_types(pre_obj, {"tasks": list}, f"{where}.pretrain")
     task_specs = _require(pre_obj, "tasks", f"{where}.pretrain")
     pre_fields = {k: v for k, v in pre_obj.items() if k != "tasks"}
     pre = _build(PretrainConfig, pre_fields, f"{where}.pretrain")
-    cache = obj.get("cache_dir")
-    if cache:
-        recipe_path = Path(cache, "recipe.json")
-        recipe = {
-            "config": asdict(config),
-            "pretrain": {**asdict(pre), "tasks": task_specs},
-            "numerics": numerics_fingerprint(),
-        }
-        recipe_text = json.dumps(recipe, sort_keys=True, indent=2) + "\n"
-        if recipe_path.exists() and recipe_path.read_text(encoding="utf-8") == recipe_text:
-            return BackboneModel.load(cache)
     tasks = [
         parse_dataset(t, f"{where}.pretrain.tasks[{i}]", split="pretrain")
         for i, t in enumerate(task_specs)
     ]
-    model, _ = pretrain_backbone(config, tasks, pre)
-    if cache:
-        # Replace the cache whole, so no fragment of an earlier model survives.
-        tmp = _fresh_tmp_dir(Path(cache))
+    entry = Path(runs_root, ".backbones", run_id_for({
+        "config": asdict(config),
+        "pretrain": {**asdict(pre), "tasks": task_specs},
+        "examples": hashlib.sha256(repr([t.examples for t in tasks]).encode()).hexdigest(),
+        "numerics": numerics_fingerprint(),
+    }))
+    if not entry.exists():
+        model, _ = pretrain_backbone(config, tasks, pre)
+        tmp = _fresh_tmp_dir(entry)
         model.save(tmp)
-        (tmp / "recipe.json").write_text(recipe_text, encoding="utf-8")
-        _replace_dir(tmp, Path(cache))
-    return model
+        _replace_dir(tmp, entry)
+    return BackboneModel.load(entry)
 
 
 @dataclass(frozen=True)
@@ -312,7 +313,7 @@ class ResolvedExperiment(SharedInputs):
     direct_prepend: int | None  # row count for a plain prompt-tuning component
 
 
-def resolve_shared(spec: dict) -> SharedInputs:
+def resolve_shared(spec: dict, runs_root) -> SharedInputs:
     """Check spec's schedule and prompt-block numbers, then resolve its
     backbone and datasets."""
     # Checked before any pretraining, and even when a verb ends up with
@@ -321,7 +322,7 @@ def resolve_shared(spec: dict) -> SharedInputs:
     for key in _PROMPT_KEYS:
         if key in spec:
             _check_types(spec[key], _BLOCK_TYPES, key)
-    model = parse_backbone(_require(spec, "backbone", "experiment"))
+    model = parse_backbone(_require(spec, "backbone", "experiment"), runs_root)
     train_set = parse_dataset(_require(spec, "train_set", "experiment"), "train_set", "train")
     eval_set = parse_dataset(_require(spec, "eval_set", "experiment"), "eval_set", "eval")
     if train_set.num_classes != eval_set.num_classes:
@@ -372,8 +373,10 @@ def resolve_prompts(
     )
 
 
-def resolve_experiment(spec: dict, allow_over_budget: bool = False) -> ResolvedExperiment:
-    return resolve_prompts(spec, resolve_shared(spec), allow_over_budget)
+def resolve_experiment(
+    spec: dict, runs_root, allow_over_budget: bool = False
+) -> ResolvedExperiment:
+    return resolve_prompts(spec, resolve_shared(spec, runs_root), allow_over_budget)
 
 
 def build_prompts(resolved: ResolvedExperiment) -> PromptSet:
@@ -410,7 +413,7 @@ def run_experiment(
     allow_over_budget: bool = False,
 ) -> RunResult:
     """Resolve, train, evaluate, and persist one experiment run."""
-    return _run_resolved(spec, resolve_experiment(spec, allow_over_budget), runs_root)
+    return _run_resolved(spec, resolve_experiment(spec, runs_root, allow_over_budget), runs_root)
 
 
 def _run_resolved(spec: dict, resolved: ResolvedExperiment, runs_root) -> RunResult:
@@ -564,7 +567,7 @@ def run_sweep_granularity(
     """
     if component not in ("scpp", "scap"):
         raise ConfigError(f"component must be scpp or scap, got {component!r}")
-    shared = resolve_shared(base_spec)
+    shared = resolve_shared(base_spec, runs_root)
     d = shared.model.config.d
     if component == "scpp":
         if positions is None:
@@ -631,7 +634,7 @@ def run_ablate(
         raise ConfigError(f"unknown ablation axes {sorted(bad)}; choose from {sorted(allowed)}")
     if "pp" not in axes:
         raise ConfigError("ablation grid is anchored on prepended prompts; include 'pp'")
-    shared = resolve_shared(base_spec)
+    shared = resolve_shared(base_spec, runs_root)
     d = shared.model.config.d
     scpp_block = _require(base_spec, "scpp", "ablate")
     scap_block = _require(base_spec, "scap", "ablate")
@@ -706,7 +709,7 @@ def run_fewshot(
         raise ConfigError(f"gammas must be positive, got {gammas}")
     if len(set(gammas)) != len(gammas):
         raise ConfigError(f"duplicate gammas in {gammas}")
-    shared = resolve_shared(base_spec)
+    shared = resolve_shared(base_spec, runs_root)
     base_seed = _schedule(base_spec)[0].seed
     prompts = {k: v for k, v in base_spec.items() if k in _PROMPT_KEYS}
     cell_specs = [
@@ -768,7 +771,7 @@ def run_length_sweep(
         raise ConfigError(f"lengths must be >= 0, got {lengths}")
     if len(set(lengths)) != len(lengths):
         raise ConfigError(f"duplicate lengths in {lengths}")
-    shared = resolve_shared(base_spec)
+    shared = resolve_shared(base_spec, runs_root)
     d = shared.model.config.d
     scpp_block = _require(base_spec, "scpp", "length sweep")
     K = _require(scpp_block, "K", "scpp")

@@ -1,8 +1,8 @@
 """Reverse-mode automatic differentiation over numpy arrays.
 
-A small tensor-graph engine: immutable row-major tensors, explicit op
-functions that build an acyclic graph, a single ``backward`` entry point,
-and a central-difference gradient checker.  Only the broadcasting patterns
+A small tensor-graph engine: immutable tensors, explicit op functions
+that build an acyclic graph, a single ``backward`` entry point, and a
+central-difference gradient checker.  Only the broadcasting patterns
 the toy transformer actually uses are supported (leading batch dims, and a
 bias vector added inside ``matmul``); anything else is rejected loudly.
 
@@ -38,7 +38,6 @@ __all__ = [
     "checked_block",
     "matmul",
     "add",
-    "mul",
     "scale",
     "gelu",
     "softmax",
@@ -122,11 +121,12 @@ def checked_block(fn, *args) -> "Tensor":
 class Tensor:
     """Immutable node in an acyclic computation graph.
 
-    ``data`` is a C-contiguous float32/float64 numpy array, locked
-    read-only at construction.  Leaves are built directly (trainable or
-    frozen); interior nodes come from the op functions in this module and
-    carry a backward closure.  A tensor holds no gradient: backward()
-    returns them in a map keyed by trainable leaf.
+    ``data`` is a float32/float64 numpy array, locked read-only at
+    construction.  Leaves are built directly (trainable or frozen) and own
+    a C-contiguous copy; interior nodes come from the op functions in this
+    module and carry a backward closure, and their data may be a strided
+    or broadcast view of another tensor's.  A tensor holds no gradient:
+    backward() returns them in a map keyed by trainable leaf.
     """
 
     __slots__ = ("data", "trainable", "needs_grad", "_parents", "_backward", "name")
@@ -146,11 +146,8 @@ class Tensor:
 
     @classmethod
     def _wrap(cls, data: np.ndarray, parents: tuple["Tensor", ...], backward_fn, name: str) -> "Tensor":
-        # Internal constructor for op outputs: owns `data`, no copy.
-        # ascontiguousarray would promote 0-d scalars to 1-d, so guard it.
+        # Internal constructor for op outputs: takes `data` as is, no copy.
         arr = np.asarray(data)
-        if not arr.flags["C_CONTIGUOUS"]:
-            arr = np.ascontiguousarray(arr)
         if not _defer_checks:
             _check_finite(arr, name)
         arr.flags.writeable = False
@@ -298,22 +295,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         return ga, gb
 
     return Tensor._wrap(out, (a, b), backward_fn, "add")
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _require_tensor(a, "mul")
-    _require_tensor(b, "mul")
-    _join_dtype(a, b, "mul")
-    if a.shape != b.shape:
-        raise ShapeError(f"mul: shape mismatch, {a.shape} * {b.shape}")
-    out = a.data * b.data
-
-    def backward_fn(g: np.ndarray):
-        ga = g * b.data if a.needs_grad else None
-        gb = g * a.data if b.needs_grad else None
-        return ga, gb
-
-    return Tensor._wrap(out, (a, b), backward_fn, "mul")
 
 
 def scale(a: Tensor, c: float) -> Tensor:
@@ -494,8 +475,8 @@ def concat_rows(a: Tensor, b: Tensor) -> Tensor:
     na = a.shape[-2]
 
     def backward_fn(g: np.ndarray):
-        ga = np.ascontiguousarray(g[..., :na, :]) if a.needs_grad else None
-        gb = np.ascontiguousarray(g[..., na:, :]) if b.needs_grad else None
+        ga = g[..., :na, :] if a.needs_grad else None
+        gb = g[..., na:, :] if b.needs_grad else None
         return ga, gb
 
     return Tensor._wrap(out, (a, b), backward_fn, "concat_rows")
@@ -537,6 +518,8 @@ def transpose(a: Tensor, axes: tuple[int, ...]) -> Tensor:
     inv = np.argsort(axes)
 
     def backward_fn(g: np.ndarray):
+        # Without this copy the attention key's gradient reaches its
+        # projection's matmul column-major, and BLAS rounds that differently.
         return (np.ascontiguousarray(np.transpose(g, inv)),)
 
     return Tensor._wrap(out, (a,), backward_fn, "transpose")
@@ -552,7 +535,7 @@ def expand_leading(a: Tensor, n: int) -> Tensor:
     def backward_fn(g: np.ndarray):
         return (g.sum(axis=0),)
 
-    return Tensor._wrap(out.copy(), (a,), backward_fn, "expand_leading")
+    return Tensor._wrap(out, (a,), backward_fn, "expand_leading")
 
 
 def sum_all(a: Tensor) -> Tensor:

@@ -641,6 +641,11 @@ def inline_config():
     return spec
 
 
+def first_run(runs):
+    """The first run directory under runs, skipping hidden ones such as the backbone store."""
+    return next(p for p in sorted(runs.iterdir()) if not p.name.startswith("."))
+
+
 def count_pretrains(monkeypatch) -> list:
     """Wrap experiments.pretrain_backbone; the returned list grows by one per call."""
     import accept.experiments as E
@@ -694,7 +699,7 @@ def test_sweep_cell_matches_standalone_train_of_its_config(tmp_path, capsys):
             if json.loads(p.read_text())["name"] == name
         )
         assert main(["train", str(cell / "config.json"), "--runs-dir", str(alone)]) == 0
-        alone_dir = next(alone.iterdir())
+        alone_dir = first_run(alone)
         assert alone_dir.name == cell.name
         assert (alone_dir / "history.csv").read_bytes() == (cell / "history.csv").read_bytes()
 
@@ -702,68 +707,135 @@ def test_sweep_cell_matches_standalone_train_of_its_config(tmp_path, capsys):
 # -- config resolution details ---------------------------------------------------------------
 
 
-def test_inline_backbone_cache_round_trip(tmp_path, capsys):
-    spec = {
-        "name": "cached",
-        "backbone": {
-            "config": {"d": 16, "layers": 1, "heads": 2, "vocab_size": 32,
-                       "max_len": 8, "num_classes": 2, "dtype": "f32"},
-            "pretrain": {"steps": 5, "batch_size": 8, "seed": 0,
-                         "tasks": [{"kind": "majority", "n": 32, "length": 6,
-                                    "vocab_size": 32, "seed": 3}]},
-            "cache_dir": str(tmp_path / "bbcache"),
-        },
-        "train_set": {"kind": "majority", "n": 32, "length": 6, "vocab_size": 32, "seed": 5},
-        "eval_set": {"kind": "majority", "n": 32, "length": 6, "vocab_size": 32, "seed": 6},
-        "scpp": {"m": 2, "K": 2, "budget": 100},
-        "run": {"steps": 10, "batch_size": 8, "warmup_steps": 2, "eval_interval": 10, "seed": 1},
-    }
-    cfg = write_config(tmp_path, spec)
-    assert main(["train", cfg, "--runs-dir", str(tmp_path / "r1")]) == 0
-    assert (tmp_path / "bbcache" / "arch.json").exists()
-    # Second run loads the cache instead of re-pretraining and matches bytes.
-    assert main(["train", cfg, "--runs-dir", str(tmp_path / "r2")]) == 0
-    h1 = next((tmp_path / "r1").glob("*/history.csv")).read_bytes()
-    h2 = next((tmp_path / "r2").glob("*/history.csv")).read_bytes()
-    assert h1 == h2
+def store_entries(runs) -> list:
+    """The finished backbone store entries under a runs root."""
+    store = runs / ".backbones"
+    return sorted(p.name for p in store.iterdir() if not p.name.startswith(".")) if store.exists() else []
 
 
-def test_inline_backbone_cache_is_keyed_on_the_recipe(tmp_path):
-    from accept.experiments import parse_backbone
-
-    def recipe(seed, cache):
-        backbone = dict(inline_config()["backbone"])
-        backbone["pretrain"] = {**backbone["pretrain"], "seed": seed}
-        if cache:
-            backbone["cache_dir"] = str(tmp_path / "cc")
-        return backbone
-
-    seed0 = parse_backbone(recipe(0, cache=True)).hash_params()
-    assert (tmp_path / "cc" / "recipe.json").exists()
-    assert parse_backbone(recipe(0, cache=True)).hash_params() == seed0
-    fresh = parse_backbone(recipe(1, cache=False)).hash_params()
-    assert fresh != seed0
-    assert parse_backbone(recipe(1, cache=True)).hash_params() == fresh
-    # The cache now holds seed 1, so seed 0 pretrains again.
-    assert parse_backbone(recipe(0, cache=True)).hash_params() == seed0
+def test_inline_backbone_store_round_trip(tmp_path, capsys, monkeypatch):
+    calls = count_pretrains(monkeypatch)
+    cfg = write_config(tmp_path, inline_config())
+    runs = tmp_path / "runs"
+    assert main(["train", cfg, "--runs-dir", str(runs)]) == 0
+    assert len(calls) == 1 and len(store_entries(runs)) == 1
+    rd = first_run(runs)
+    first = (rd / "history.csv").read_bytes()
+    # A second run in the same root loads the stored backbone and matches bytes.
+    assert main(["train", cfg, "--runs-dir", str(runs)]) == 0
+    assert len(calls) == 1
+    assert (rd / "history.csv").read_bytes() == first
 
 
-def test_inline_backbone_cache_is_replaced_whole(tmp_path, monkeypatch):
+def test_eval_of_an_inline_recipe_run_pretrains_nothing(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, inline_config())
+    assert main(["train", cfg, "--runs-dir", str(tmp_path / "runs")]) == 0
+    rd = first_run(tmp_path / "runs")
+    calls = count_pretrains(monkeypatch)
+    assert main(["eval", "--run-dir", str(rd)]) == 0
+    assert calls == []
+
+
+def test_inline_backbone_store_is_keyed_on_the_recipe_and_the_numerics(tmp_path, monkeypatch):
+    import accept.experiments as E
     from accept.experiments import parse_backbone
 
     calls = count_pretrains(monkeypatch)
-    backbone = {**inline_config()["backbone"], "cache_dir": str(tmp_path / "cc")}
-    first = parse_backbone(backbone).hash_params()
-    # Leave a fragment of an older model and a recipe.json that no longer matches.
-    stale = tmp_path / "cc"
-    shutil.copy(stale / "head.b.bin", stale / "layer0.attn.bk.bin")
-    shutil.copy(stale / "head.b.json", stale / "layer0.attn.bk.json")
-    (stale / "recipe.json").write_text("{}\n", encoding="utf-8")
-    assert parse_backbone(backbone).hash_params() == first
+
+    def recipe(seed):
+        backbone = dict(inline_config()["backbone"])
+        backbone["pretrain"] = {**backbone["pretrain"], "seed": seed}
+        return backbone
+
+    seed0 = parse_backbone(recipe(0), tmp_path).hash_params()
+    seed1 = parse_backbone(recipe(1), tmp_path).hash_params()
+    assert seed0 != seed1
+    assert len(store_entries(tmp_path)) == 2
+    assert parse_backbone(recipe(0), tmp_path).hash_params() == seed0
     assert len(calls) == 2
-    assert not (stale / "layer0.attn.bk.bin").exists()
-    assert parse_backbone(backbone).hash_params() == first
+    # Code whose numerics differ does not reuse a backbone the old code pretrained.
+    monkeypatch.setattr(E, "numerics_fingerprint", lambda: "0" * 64)
+    parse_backbone(recipe(0), tmp_path)
+    assert len(calls) == 3
+    assert len(store_entries(tmp_path)) == 3
+
+
+def test_inline_backbone_store_is_keyed_on_the_pretraining_examples(tmp_path, monkeypatch):
+    from accept.experiments import parse_backbone
+
+    calls = count_pretrains(monkeypatch)
+    source = tmp_path / "source.jsonl"
+    backbone = dict(inline_config()["backbone"])
+    backbone["pretrain"] = {**backbone["pretrain"], "tasks": [{"jsonl": str(source)}]}
+    lines = ['{"tokens": [6, 7, 7], "label": 1}', '{"tokens": [6, 6, 7], "label": 0}']
+    source.write_text("\n".join(lines * 4) + "\n", encoding="utf-8")
+    parse_backbone(backbone, tmp_path)
+    # The same spec over edited examples must not hit the old entry.
+    source.write_text("\n".join(lines[::-1] * 4) + "\n", encoding="utf-8")
+    parse_backbone(backbone, tmp_path)
     assert len(calls) == 2
+    assert len(store_entries(tmp_path)) == 2
+
+
+def test_interrupted_pretrain_leaves_no_store_entry(tmp_path, monkeypatch):
+    import accept.experiments as E
+    from accept.backbone import BackboneModel
+
+    backbone = inline_config()["backbone"]
+    real_pretrain, real_save = E.pretrain_backbone, BackboneModel.save
+
+    def interrupted(*args, **kwargs):
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(E, "pretrain_backbone", interrupted)
+    with pytest.raises(KeyboardInterrupt):
+        E.parse_backbone(backbone, tmp_path)
+    monkeypatch.setattr(E, "pretrain_backbone", real_pretrain)
+
+    def save_then_interrupt(self, dirpath):
+        real_save(self, dirpath)
+        raise KeyboardInterrupt
+
+    monkeypatch.setattr(BackboneModel, "save", save_then_interrupt)
+    with pytest.raises(KeyboardInterrupt):
+        E.parse_backbone(backbone, tmp_path)
+    assert store_entries(tmp_path) == []
+
+    monkeypatch.setattr(BackboneModel, "save", real_save)
+    calls = count_pretrains(monkeypatch)
+    model = E.parse_backbone(backbone, tmp_path)
+    assert len(calls) == 1
+    (entry,) = store_entries(tmp_path)
+    assert BackboneModel.load(tmp_path / ".backbones" / entry).hash_params() == model.hash_params()
+
+
+@pytest.mark.parametrize(
+    "kind, field", [("inline", "cache_dir"), ("path", "cache_dir"), ("path", "config")]
+)
+def test_config_rejects_unknown_backbone_fields(
+    tmp_path, tiny_backbone_dir, capsys, monkeypatch, kind, field
+):
+    calls = count_pretrains(monkeypatch)
+    backbone = inline_config()["backbone"] if kind == "inline" else {"path": str(tiny_backbone_dir)}
+    backbone[field] = str(tmp_path / "bb")
+    cfg = write_config(tmp_path, base_config(tiny_backbone_dir, backbone=backbone))
+    assert main(["train", cfg, "--runs-dir", str(tmp_path / "runs")]) == 2
+    assert f"backbone: unknown field {field!r}" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "runs").exists()
+
+
+@pytest.mark.parametrize(
+    "pretrain, message",
+    [(5, "backbone.pretrain: must be an object"), ({"tasks": 5}, "backbone.pretrain.tasks must be")],
+    ids=["pretrain-int", "tasks-int"],
+)
+def test_config_rejects_a_malformed_pretrain_block(tmp_path, capsys, pretrain, message):
+    spec = inline_config()
+    spec["backbone"]["pretrain"] = pretrain
+    cfg = write_config(tmp_path, spec)
+    assert main(["train", cfg, "--runs-dir", str(tmp_path / "runs")]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_train_refuses_a_backbone_with_an_unknown_fragment(tmp_path, tiny_backbone_dir, capsys):
@@ -786,7 +858,7 @@ def test_eval_without_best_refuses_before_pretraining(tmp_path, capsys, monkeypa
     spec["direct_prepend"] = {"m": 3}
     cfg = write_config(tmp_path, spec)
     assert main(["train", cfg, "--runs-dir", str(tmp_path / "runs")]) == 0
-    rd = next((tmp_path / "runs").iterdir())
+    rd = first_run(tmp_path / "runs")
 
     calls = count_pretrains(monkeypatch)
     capsys.readouterr()
@@ -857,6 +929,11 @@ def test_config_rejects_malformed_fewshot_field(tmp_path, tiny_backbone_dir, cap
         ("run.batch_size", 8.0),
         ("train_set.n", "32"),
         ("eval_set.length", "6"),
+        ("train_set.seed", "5"),
+        ("train_set.seed", 1.5),
+        ("train_set.seed", True),
+        ("train_set.seed", -1),
+        ("eval_set.seed", [6, "7"]),
     ],
 )
 def test_config_rejects_mistyped_numbers(

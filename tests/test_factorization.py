@@ -87,7 +87,8 @@ def test_compose_gradients_match_fd(seed):
 
     cb = F.Codebook(T.Tensor(C, trainable=True))
     ws = F.WeightSet(T.Tensor(W, trainable=True))
-    loss = T.sum_all(T.mul(F.compose(cb, ws), T.Tensor(probe)))
+    out = T.reshape(F.compose(cb, ws), (1, probe.size))
+    loss = T.sum_all(T.matmul(out, T.Tensor(probe.reshape(-1, 1))))
     grads = T.backward(loss)
 
     def loss_of(C_arr, W_arr):
