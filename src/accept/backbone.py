@@ -14,8 +14,10 @@ frozen weights already know how to be steered by a prefix.
 """
 from __future__ import annotations
 
+import contextvars
 import hashlib
 import json
+import os
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -58,6 +60,35 @@ _DTYPES = {"f32": np.float32, "f64": np.float64}
 # Additive attention bias for masked-out keys; large enough that exp()
 # underflows to exactly 0.0 after the softmax max-shift in both dtypes.
 _MASK_BIAS = -1e9
+
+# A tape-free forward runs its blocks as one contiguous batch chunk per CPU
+# this process may use: the first on the calling thread, the rest on a
+# thread pool made at first use.
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+# Fewest rows (B * s) a chunk must hold for the split to pay.  Median desk
+# forward (d=64, 2 layers, f32, one BLAS thread, 2-vCPU host), B=64, one
+# chunk against two: s=13 (416 rows a chunk) 12.3 vs 14.0 ms, s=16 (512)
+# 13.9 vs 12.8 ms, s=28 (896) 20.2 vs 14.9 ms, s=76 (2432) 51.2 vs 30.8 ms.
+_SPLIT_MIN_ROWS = 512
+_pool = None
+
+
+def _thread_pool():
+    global _pool
+    if _pool is None:
+        from concurrent.futures import ThreadPoolExecutor
+
+        _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="accept-blocks")
+    return _pool
+
+
+def _forget_pool() -> None:
+    # A forked child inherits the pool object but none of its threads.
+    global _pool
+    _pool = None
+
+
+os.register_at_fork(after_in_child=_forget_pool)
 
 
 @dataclass(frozen=True)
@@ -339,6 +370,15 @@ class BackboneModel:
         appear only in the last block's prompt rows therefore no longer
         raises, since those rows are never computed.  An example with no
         real token rows fails before any block runs.
+
+        A forward that builds no graph (no input row and no parameter
+        needs a gradient) runs its blocks on one contiguous chunk of the
+        batch per CPU the process may use, all but the first on pool
+        threads, once a chunk holds at least ``_SPLIT_MIN_ROWS`` rows.  Every block op is
+        per example and each chunk keeps the batch's padded width, so the
+        logits are the same bits at any chunk count; a NonFiniteError in
+        any chunk re-runs the whole batch's blocks, so it names the same
+        layer and op as the serial pass.
         """
         cfg = self.config
         vals = assembled.values
@@ -358,15 +398,44 @@ class BackboneModel:
         # Additive key mask, (B, 1, 1, s), broadcast over heads and queries.
         bias = np.where(mask, 0.0, _MASK_BIAS).astype(cfg.np_dtype)[:, None, None, :]
 
-        for i in range(cfg.layers):
-            first_query = m if i == cfg.layers - 1 else 0
-            try:
-                x = T.checked_block(self._block, x, i, bias, first_query)
-            except T.NonFiniteError as err:
-                raise T.NonFiniteError(f"layer {i}: {err}") from None
+        chunks = min(_WORKERS, bsz, bsz * s // _SPLIT_MIN_ROWS)
+        if chunks < 2 or x.needs_grad or not self.frozen:
+            x = self._blocks(x, bias, m)
+        else:
+            x = self._split_blocks(x, bias, m, chunks)
         x = T.layer_norm(x, self.params["lnf.g"], self.params["lnf.b"])
         pooled = T.masked_mean_rows(x, pool_mask)
         return T.matmul(pooled, self.params["head.w"], self.params["head.b"])
+
+    def _blocks(self, x: Tensor, bias: np.ndarray, m: int) -> Tensor:
+        """Every block over (B, s, d) rows; the last returns rows m..s-1 only."""
+        last = self.config.layers - 1
+        for i in range(self.config.layers):
+            try:
+                x = T.checked_block(self._block, x, i, bias, m if i == last else 0)
+            except T.NonFiniteError as err:
+                raise T.NonFiniteError(f"layer {i}: {err}") from None
+        return x
+
+    def _split_blocks(self, x: Tensor, bias: np.ndarray, m: int, chunks: int) -> Tensor:
+        """_blocks of a graph-free x: the first batch chunk here, the rest on the pool."""
+        bounds = [x.shape[0] * j // chunks for j in range(chunks + 1)]
+        parts = [
+            (T.make_op(x.data[a:b], (), None, "rows"), bias[a:b])
+            for a, b in zip(bounds, bounds[1:])
+        ]
+        # Each chunk runs in a copy of this context, so np.errstate holds there too.
+        futures = [
+            _thread_pool().submit(contextvars.copy_context().run, self._blocks, xs, bs, m)
+            for xs, bs in parts[1:]
+        ]
+        try:
+            outs = [self._blocks(*parts[0], m)] + [f.result() for f in futures]
+        except T.NonFiniteError:
+            # Another chunk may fail at an earlier op; the whole batch names it.
+            self._blocks(x, bias, m)
+            raise
+        return T.make_op(np.concatenate([o.data for o in outs]), (), None, "rows")
 
     def _block(self, x: Tensor, i: int, bias: np.ndarray, first_query: int) -> Tensor:
         """One block over (B, s, d) rows; returns rows first_query..s-1 only."""

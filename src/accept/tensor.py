@@ -16,12 +16,15 @@ Importing this module asks glibc's malloc to keep freed memory: arrays up
 to 32 MiB come from the heap, not a fresh ``mmap``, and the heap is only
 trimmed once 1 GiB of it is free.  A forward pass frees and reallocates
 the same few-megabyte arrays op after op; returning each to the OS would
-cost a page fault per page on its next use.  Without glibc's ``mallopt``
-this is a no-op; no array value depends on it.
+cost a page fault per page on its next use.  Every thread also shares one
+arena, so the threads a tape-free forward runs its blocks on reuse the
+arrays the others freed instead of each growing a heap of its own.
+Without glibc's ``mallopt`` this is a no-op; no array value depends on it.
 """
 from __future__ import annotations
 
 import ctypes
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -56,7 +59,8 @@ __all__ = [
 ]
 
 
-_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD = -1, -3  # glibc <malloc.h> mallopt parameters
+# glibc <malloc.h> mallopt parameters
+_M_TRIM_THRESHOLD, _M_MMAP_THRESHOLD, _M_ARENA_MAX = -1, -3, -8
 
 
 def _keep_freed_memory() -> bool:
@@ -66,8 +70,10 @@ def _keep_freed_memory() -> bool:
     except (OSError, AttributeError):
         return False
     mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
-    # 32 MiB is glibc's largest mmap threshold on 64-bit hosts.
-    return all([mallopt(_M_MMAP_THRESHOLD, 32 << 20), mallopt(_M_TRIM_THRESHOLD, 1 << 30)])
+    # 32 MiB is glibc's largest mmap threshold on 64-bit hosts; one arena
+    # serves every thread.
+    settings = ((_M_MMAP_THRESHOLD, 32 << 20), (_M_TRIM_THRESHOLD, 1 << 30), (_M_ARENA_MAX, 1))
+    return all([mallopt(param, value) for param, value in settings])
 
 
 _keep_freed_memory()
@@ -93,8 +99,13 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
         raise NonFiniteError(f"{op}: produced non-finite values")
 
 
-# True only while checked_block runs a block's deferred pass.
-_defer_checks = False
+class _Checks(threading.local):
+    # True only while checked_block runs a block's deferred pass in this
+    # thread; another thread's block must not silence this one's checks.
+    deferred = False
+
+
+_checks = _Checks()
 
 
 def checked_block(fn, *args) -> "Tensor":
@@ -104,9 +115,8 @@ def checked_block(fn, *args) -> "Tensor":
     deferred pass, ``fn`` runs again with every op checking its output, so
     the error names the op that produced the first NaN/Inf.
     """
-    global _defer_checks
-    prev = _defer_checks
-    _defer_checks = True
+    prev = _checks.deferred
+    _checks.deferred = True
     try:
         out = fn(*args)
         if np.all(np.isfinite(out.data)):
@@ -114,7 +124,7 @@ def checked_block(fn, *args) -> "Tensor":
     except NonFiniteError:
         pass
     finally:
-        _defer_checks = prev
+        _checks.deferred = prev
     return fn(*args)
 
 
@@ -148,7 +158,7 @@ class Tensor:
     def _wrap(cls, data: np.ndarray, parents: tuple["Tensor", ...], backward_fn, name: str) -> "Tensor":
         # Internal constructor for op outputs: takes `data` as is, no copy.
         arr = np.asarray(data)
-        if not _defer_checks:
+        if not _checks.deferred:
             _check_finite(arr, name)
         arr.flags.writeable = False
         obj = cls.__new__(cls)

@@ -1,4 +1,6 @@
 """Backbone model: input assembly, masking, gradients, persistence."""
+import warnings
+
 import numpy as np
 import pytest
 
@@ -354,6 +356,67 @@ def test_last_block_softmax_sees_only_token_queries(monkeypatch):
     model.logits([[5, 6, 7], [8, 9, 10, 11, 12]], prompt=prompt)
     h, s = cfg.heads, 16 + 5
     assert shapes == [(2, h, s, s), (2, h, s, s), (2, h, 5, s)]
+
+
+def split_forward(monkeypatch, workers: int) -> list:
+    """Split every tape-free forward into `workers` chunks; log chunk sizes."""
+    import accept.backbone as B
+
+    monkeypatch.setattr(B, "_WORKERS", workers)
+    monkeypatch.setattr(B, "_SPLIT_MIN_ROWS", 1)
+    sizes = []
+    blocks = BackboneModel._blocks
+
+    def recording(self, x, bias, m):
+        sizes.append(x.shape[0])
+        return blocks(self, x, bias, m)
+
+    monkeypatch.setattr(BackboneModel, "_blocks", recording)
+    return sizes
+
+
+MIXED = [[5, 6, 7], [8, 9, 10, 11, 12, 13, 14], [15], [16, 17, 18, 19], [20, 21]]
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_split_forward_logits_are_the_one_chunk_bits(monkeypatch, workers):
+    cfg = BackboneConfig()
+    model = BackboneModel.random_init(cfg, seed=0)
+    model.freeze()
+    rng = np.random.default_rng(4)
+    P = T.Tensor(rng.normal(0.0, 0.1, size=(3, cfg.d)), dtype=cfg.np_dtype)
+    Q = T.Tensor(rng.normal(0.0, 0.1, size=(cfg.max_len, cfg.d)), dtype=cfg.np_dtype)
+    one_chunk = model.logits(MIXED, prompt=P, added=Q).data.tobytes()
+    sizes = split_forward(monkeypatch, workers)
+    assert model.logits(MIXED, prompt=P, added=Q).data.tobytes() == one_chunk
+    assert sorted(sizes) == sorted(len(MIXED) * (j + 1) // workers - len(MIXED) * j // workers
+                                   for j in range(workers))
+    # A forward that builds a graph stays on one chunk.
+    sizes.clear()
+    trainable = T.Tensor(P.data, trainable=True)
+    assert model.logits(MIXED, prompt=trainable, added=Q).data.tobytes() == one_chunk
+    assert sizes == [len(MIXED)]
+
+
+@pytest.mark.parametrize("workers", [2, 3])
+def test_split_forward_names_the_serial_error(monkeypatch, workers):
+    cfg = BackboneConfig()
+    model = BackboneModel.random_init(cfg, seed=0)
+    model.freeze()
+    e, mask = model.embed_batch(MIXED)
+    rows = e.data.copy()
+    rows[3, 1] = 3e38  # overflows inside example 3's first block only
+    bad = AssembledInput(T.Tensor(rows), mask, 0)
+    # np.errstate must reach the pool threads: a warning there would raise.
+    with np.errstate(all="ignore"), warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(T.NonFiniteError) as serial:
+            model.forward(bad)
+        sizes = split_forward(monkeypatch, workers)
+        with pytest.raises(T.NonFiniteError) as split:
+            model.forward(bad)
+    assert len(sizes) > 1
+    assert str(split.value) == str(serial.value) == "layer 0: layer_norm: produced non-finite values"
 
 
 @pytest.mark.parametrize("dtype", ["f32", "f64"])

@@ -4,6 +4,7 @@ import os
 import platform
 import subprocess
 import sys
+import threading
 import types
 from pathlib import Path
 
@@ -173,6 +174,25 @@ def test_checked_block_names_the_op_behind_a_non_finite_output():
 
     with np.errstate(over="ignore"), pytest.raises(T.NonFiniteError, match="^scale: "):
         T.checked_block(block, T.Tensor(np.array([1e308])))
+
+
+def test_a_block_in_another_thread_leaves_this_threads_checks_on():
+    entered, release = threading.Event(), threading.Event()
+
+    def block(t):
+        entered.set()
+        release.wait()
+        return t
+
+    worker = threading.Thread(target=T.checked_block, args=(block, T.Tensor(np.zeros(1))))
+    worker.start()
+    try:
+        assert entered.wait(timeout=30)
+        with np.errstate(over="ignore"), pytest.raises(T.NonFiniteError, match="^scale: "):
+            T.scale(T.Tensor(np.array([1e308])), 1e10)
+    finally:
+        release.set()
+        worker.join()
 
 
 def test_non_finite_leaf_rejected():
