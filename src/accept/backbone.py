@@ -70,25 +70,17 @@ _WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else
 # chunk against two: s=13 (416 rows a chunk) 12.3 vs 14.0 ms, s=16 (512)
 # 13.9 vs 12.8 ms, s=28 (896) 20.2 vs 14.9 ms, s=76 (2432) 51.2 vs 30.8 ms.
 _SPLIT_MIN_ROWS = 512
-_pool = None
+_pool = None  # (pid, executor) of the process that made it
 
 
 def _thread_pool():
     global _pool
-    if _pool is None:
+    # A forked child inherits the pool object but none of its threads.
+    if _pool is None or _pool[0] != os.getpid():
         from concurrent.futures import ThreadPoolExecutor
 
-        _pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="accept-blocks")
-    return _pool
-
-
-def _forget_pool() -> None:
-    # A forked child inherits the pool object but none of its threads.
-    global _pool
-    _pool = None
-
-
-os.register_at_fork(after_in_child=_forget_pool)
+        _pool = (os.getpid(), ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="accept-blocks"))
+    return _pool[1]
 
 
 @dataclass(frozen=True)

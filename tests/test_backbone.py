@@ -1,9 +1,14 @@
 """Backbone model: input assembly, masking, gradients, persistence."""
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import accept
 from accept import tensor as T
 from accept.backbone import (
     ArchitectureError,
@@ -417,6 +422,42 @@ def test_split_forward_names_the_serial_error(monkeypatch, workers):
             model.forward(bad)
     assert len(sizes) > 1
     assert str(split.value) == str(serial.value) == "layer 0: layer_norm: produced non-finite values"
+
+
+_FORKED_SPLIT_FORWARD = """
+import os, signal, time
+import accept.backbone as B
+from accept.backbone import BackboneConfig, BackboneModel
+
+B._WORKERS, B._SPLIT_MIN_ROWS = 2, 1
+model = BackboneModel.random_init(BackboneConfig(), seed=0)
+model.freeze()
+parent = model.logits([[5, 6, 7], [8, 9]]).data.tobytes()
+pid = os.fork()
+if pid == 0:
+    os._exit(0 if model.logits([[5, 6, 7], [8, 9]]).data.tobytes() == parent else 1)
+for _ in range(300):
+    done, status = os.waitpid(pid, os.WNOHANG)
+    if done:
+        print(status)
+        break
+    time.sleep(0.1)
+else:
+    os.kill(pid, signal.SIGKILL)
+    os.waitpid(pid, 0)
+    print("hung")
+"""
+
+
+def test_a_forked_child_splits_on_a_pool_of_its_own():
+    # The child inherits the parent's pool object but none of its threads.
+    src = str(Path(accept.__file__).resolve().parent.parent)
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    out = subprocess.run(
+        [sys.executable, "-c", _FORKED_SPLIT_FORWARD],
+        env=env, capture_output=True, text=True, check=True, timeout=60,
+    )
+    assert out.stdout.strip() == "0"
 
 
 @pytest.mark.parametrize("dtype", ["f32", "f64"])
