@@ -496,16 +496,17 @@ class BackboneModel:
 
 
 def numerics_fingerprint() -> str:
-    """sha256 of fixed forward passes, an adaptation step and a tiny pretraining run.
+    """sha256 of fixed forward passes, an adaptation step and a short pretraining run.
 
     Any change to the bits the forward computes changes this digest.  The
     batches are full-length, short and mixed-length, so a change to how
     wide a batch is padded changes it too.  The mixed batch also runs
     under a 4-row prepended prompt and an added grid, and the digest takes
     that batch's logits and both prompts' gradients through the frozen
-    model: the adaptation path.  The tiny run goes past its warmup, so a
-    change to the backward pass, the optimizer or the pretraining schedule
-    changes it as well.
+    model: the adaptation path.  The pretraining run has the desk shapes
+    (the default config on the desk sources) and goes past its warmup, so
+    a change to how the backward pass, the optimizer or the schedule
+    round at desk size changes it as well.
     """
     config = BackboneConfig()
     model = BackboneModel.random_init(config, seed=0)
@@ -524,10 +525,12 @@ def numerics_fingerprint() -> str:
     grads = T.backward(T.softmax_cross_entropy(logits, np.arange(len(mixed)) % 2))
     for arr in (logits.data, grads[prompt], grads[added]):
         h.update(arr.tobytes())
-    tiny = BackboneConfig(d=8, layers=1, heads=2, vocab_size=16, max_len=8)
-    source = gen_task("majority", n=16, length=6, vocab_size=16, seed=0)
-    pre = PretrainConfig(steps=4, batch_size=4, warmup=2, eval_examples=4)
-    h.update(pretrain_backbone(tiny, [source], pre)[0].hash_params().encode("ascii"))
+    sources = [
+        gen_task("majority", n=64, length=12, vocab_size=config.vocab_size, seed=0),
+        gen_task("pair-match", n=64, length=7, vocab_size=16, seed=0),
+    ]
+    pre = PretrainConfig(steps=3, batch_size=8, warmup=1, eval_examples=8)
+    h.update(pretrain_backbone(config, sources, pre)[0].hash_params().encode("ascii"))
     return h.hexdigest()
 
 

@@ -529,6 +529,28 @@ def test_numerics_fingerprint_sees_prompt_gradients(monkeypatch):
     assert numerics_fingerprint() != base
 
 
+def test_numerics_fingerprint_sees_desk_pretraining_rounding(monkeypatch):
+    # Computing a weight's data gradient as one flattened GEMM moves desk
+    # pretraining bits, so the digest that keys backbone caches must move.
+    base = numerics_fingerprint()
+    matmul = T.matmul
+
+    def flat_data_grad(a, b, bias=None):
+        out = matmul(a, b, bias)
+        if out._backward is not None and b.ndim == 2 and a.needs_grad:
+            inner = out._backward
+
+            def backward(g):
+                _, *rest = inner(g)
+                return ((g.reshape(-1, b.shape[1]) @ b.data.T).reshape(a.shape), *rest)
+
+            out._backward = backward
+        return out
+
+    monkeypatch.setattr(T, "matmul", flat_data_grad)
+    assert numerics_fingerprint() != base
+
+
 def test_added_rows_past_batch_width_get_zero_gradient():
     model = tiny_model()
     Q = T.Tensor(np.random.default_rng(2).normal(size=(8, 16)), trainable=True)
