@@ -18,6 +18,7 @@ import contextvars
 import hashlib
 import json
 import os
+import threading
 from dataclasses import asdict, dataclass
 from pathlib import Path
 
@@ -64,23 +65,28 @@ _MASK_BIAS = -1e9
 # A tape-free forward runs its blocks as one contiguous batch chunk per CPU
 # this process may use: the first on the calling thread, the rest on a
 # thread pool made at first use.
-_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+_WORKERS = (
+    len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
+)
 # Fewest rows (B * s) a chunk must hold for the split to pay.  Median desk
 # forward (d=64, 2 layers, f32, one BLAS thread, 2-vCPU host), B=64, one
 # chunk against two: s=13 (416 rows a chunk) 12.3 vs 14.0 ms, s=16 (512)
 # 13.9 vs 12.8 ms, s=28 (896) 20.2 vs 14.9 ms, s=76 (2432) 51.2 vs 30.8 ms.
 _SPLIT_MIN_ROWS = 512
 _pool = None  # (pid, executor) of the process that made it
+_pool_lock = threading.Lock()
 
 
 def _thread_pool():
     global _pool
-    # A forked child inherits the pool object but none of its threads.
-    if _pool is None or _pool[0] != os.getpid():
-        from concurrent.futures import ThreadPoolExecutor
+    with _pool_lock:
+        # A forked child inherits the pool object but none of its threads.
+        if _pool is None or _pool[0] != os.getpid():
+            from concurrent.futures import ThreadPoolExecutor
 
-        _pool = (os.getpid(), ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="accept-blocks"))
-    return _pool[1]
+            pool = ThreadPoolExecutor(_WORKERS - 1, thread_name_prefix="accept-blocks")
+            _pool = (os.getpid(), pool)
+        return _pool[1]
 
 
 @dataclass(frozen=True)
@@ -366,11 +372,11 @@ class BackboneModel:
         A forward that builds no graph (no input row and no parameter
         needs a gradient) runs its blocks on one contiguous chunk of the
         batch per CPU the process may use, all but the first on pool
-        threads, once a chunk holds at least ``_SPLIT_MIN_ROWS`` rows.  Every block op is
-        per example and each chunk keeps the batch's padded width, so the
-        logits are the same bits at any chunk count; a NonFiniteError in
-        any chunk re-runs the whole batch's blocks, so it names the same
-        layer and op as the serial pass.
+        threads, once a chunk holds at least ``_SPLIT_MIN_ROWS`` rows.
+        Every block op is per example and each chunk keeps the batch's
+        padded width, so the logits are the same bits at any chunk count.
+        A NonFiniteError in any chunk re-runs the whole batch's blocks, so
+        it names the same layer and op as the serial pass.
         """
         cfg = self.config
         vals = assembled.values
@@ -425,6 +431,8 @@ class BackboneModel:
             outs = [self._blocks(*parts[0], m)] + [f.result() for f in futures]
         except T.NonFiniteError:
             # Another chunk may fail at an earlier op; the whole batch names it.
+            for f in futures:
+                f.exception()
             self._blocks(x, bias, m)
             raise
         return T.make_op(np.concatenate([o.data for o in outs]), (), None, "rows")

@@ -393,7 +393,14 @@ def test_split_forward_logits_are_the_one_chunk_bits(monkeypatch, workers):
     Q = T.Tensor(rng.normal(0.0, 0.1, size=(cfg.max_len, cfg.d)), dtype=cfg.np_dtype)
     one_chunk = model.logits(MIXED, prompt=P, added=Q).data.tobytes()
     sizes = split_forward(monkeypatch, workers)
-    assert model.logits(MIXED, prompt=P, added=Q).data.tobytes() == one_chunk
+    # Switch threads as often as the interpreter allows while chunks run.
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        split = model.logits(MIXED, prompt=P, added=Q).data.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+    assert split == one_chunk
     assert sorted(sizes) == sorted(len(MIXED) * (j + 1) // workers - len(MIXED) * j // workers
                                    for j in range(workers))
     # A forward that builds a graph stays on one chunk.

@@ -192,7 +192,8 @@ def test_a_block_in_another_thread_leaves_this_threads_checks_on():
             T.scale(T.Tensor(np.array([1e308])), 1e10)
     finally:
         release.set()
-        worker.join()
+        worker.join(timeout=30)
+    assert not worker.is_alive()
 
 
 def test_non_finite_leaf_rejected():
