@@ -69,14 +69,12 @@ _WORKERS = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
 # Fewest rows (B * s) a chunk must hold for the split to pay.  Median desk
-# forward (d=64, 2 layers, f32, one BLAS thread, 2-vCPU shared host), B=64,
-# one chunk -> two, wall and CPU ms: s=16 (512 rows a chunk) 11.8 -> 9.8
-# and 11.9 -> 15.6, s=23 (736) 13.9 -> 10.3 and 13.9 -> 16.6, s=32 (1024)
-# 21.7 -> 14.5 and 21.7 -> 24.7, s=76 (2432) 40.8 -> 24.5 and 40.8 -> 44.2.
-# Smaller chunks hand the GIL back and forth between short ops and cost
-# 20-30% more CPU time; with a 512-row gate the adaptation steps after each
-# split evaluate ran 8-16% slower on that host (not when pinned to one CPU).
-_SPLIT_MIN_ROWS = 1024
+# forward (d=64, 2 layers, f32, one BLAS thread, 2-vCPU host), B=64, wall
+# ms of one chunk -> two: s=13 (416 rows a chunk) 12.3 -> 14.0, s=16 (512)
+# 13.9 -> 12.8, s=28 (896) 20.2 -> 14.9, s=76 (2432) 51.2 -> 30.8.  Small
+# chunks lose because the threads hand the GIL back and forth between
+# short ops; at s=16 two threads spend about 30% more CPU time than one.
+_SPLIT_MIN_ROWS = 512
 _pool = None  # (pid, executor) of the process that made it
 _pool_lock = threading.Lock()
 
