@@ -424,9 +424,10 @@ class BackboneModel:
             (T.make_op(x.data[a:b], (), None, "rows"), bias[a:b])
             for a, b in zip(bounds, bounds[1:])
         ]
+        pool = _thread_pool()
         # Each chunk runs in a copy of this context, so np.errstate holds there too.
         futures = [
-            _thread_pool().submit(contextvars.copy_context().run, self._blocks, xs, bs, m)
+            pool.submit(contextvars.copy_context().run, self._blocks, xs, bs, m)
             for xs, bs in parts[1:]
         ]
         try:
