@@ -428,7 +428,8 @@ def test_split_forward_names_the_serial_error(monkeypatch, workers):
         with pytest.raises(T.NonFiniteError) as split:
             model.forward(bad)
     assert len(sizes) > 1
-    assert str(split.value) == str(serial.value) == "layer 0: layer_norm: produced non-finite values"
+    assert str(serial.value) == "layer 0: layer_norm: produced non-finite values"
+    assert str(split.value) == str(serial.value)
 
 
 _FORKED_SPLIT_FORWARD = """
