@@ -23,8 +23,8 @@ Without glibc's ``mallopt`` this is a no-op; no array value depends on it.
 """
 from __future__ import annotations
 
+import contextvars
 import ctypes
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -99,13 +99,9 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
         raise NonFiniteError(f"{op}: produced non-finite values")
 
 
-class _Checks(threading.local):
-    # True only while checked_block runs a block's deferred pass in this
-    # thread; another thread's block must not silence this one's checks.
-    deferred = False
-
-
-_checks = _Checks()
+# True only while checked_block runs a block's deferred pass.  A context
+# variable, so a block in one thread never silences another thread's checks.
+_deferred = contextvars.ContextVar("deferred_checks", default=False)
 
 
 def checked_block(fn, *args) -> "Tensor":
@@ -115,8 +111,7 @@ def checked_block(fn, *args) -> "Tensor":
     deferred pass, ``fn`` runs again with every op checking its output, so
     the error names the op that produced the first NaN/Inf.
     """
-    prev = _checks.deferred
-    _checks.deferred = True
+    token = _deferred.set(True)
     try:
         out = fn(*args)
         if np.all(np.isfinite(out.data)):
@@ -124,7 +119,7 @@ def checked_block(fn, *args) -> "Tensor":
     except NonFiniteError:
         pass
     finally:
-        _checks.deferred = prev
+        _deferred.reset(token)
     return fn(*args)
 
 
@@ -158,7 +153,7 @@ class Tensor:
     def _wrap(cls, data: np.ndarray, parents: tuple["Tensor", ...], backward_fn, name: str) -> "Tensor":
         # Internal constructor for op outputs: takes `data` as is, no copy.
         arr = np.asarray(data)
-        if not _checks.deferred:
+        if not _deferred.get():
             _check_finite(arr, name)
         arr.flags.writeable = False
         obj = cls.__new__(cls)
