@@ -11,6 +11,10 @@ Each phase runs in a fresh child process, so its peak RSS is its own:
 
 For every call it prints the wall time and the minor page faults
 (``ru_minflt``) the call took; each phase ends with the process's peak RSS.
+After its timed rounds the eval phase runs one more round under
+``tracemalloc`` and prints each call's traced peak (numpy arrays and Python
+objects, not the allocator's slack) next to its wall time, which tracing
+slows.
 BLAS runs one thread unless the environment says otherwise, as in
 perfbench.  It gates nothing and always exits 0.
 
@@ -25,6 +29,7 @@ import resource
 import subprocess
 import sys
 import time
+import tracemalloc
 
 PROMPT_LENGTHS = (4, 16, 64)
 TASKS = (
@@ -85,6 +90,16 @@ def phase_eval(repeats: int) -> None:
                 print(f"{rnd:5d} {m:5d} {ds.kind:11s} {wall * 1e3:8.1f} {flt:7d}", flush=True)
     calls = repeats * len(PROMPT_LENGTHS) * len(datasets)
     print(f"# eval: {calls} calls, {total} minor faults, peak_rss_mb {_peak_rss_mb():.1f}")
+    print("traced    m task        wall_ms  peak_mb")
+    tracemalloc.start()
+    for m in PROMPT_LENGTHS:
+        model, prompts = setups[m]
+        for ds in datasets:
+            tracemalloc.reset_peak()
+            wall, _ = _timed(lambda: evaluate(model, prompts, ds))
+            peak = tracemalloc.get_traced_memory()[1] / 1e6
+            print(f"{'':5s} {m:5d} {ds.kind:11s} {wall * 1e3:8.1f} {peak:8.1f}", flush=True)
+    tracemalloc.stop()
 
 
 def phase_pretrain(steps: int) -> None:

@@ -378,7 +378,9 @@ class BackboneModel:
         Every block op is per example and each chunk keeps the batch's
         padded width, so the logits are the same bits at any chunk count.
         A NonFiniteError in any chunk re-runs the whole batch's blocks, so
-        it names the same layer and op as the serial pass.
+        it names the same layer and op as the serial pass.  In such a
+        forward each block drops every intermediate at its last read, so
+        numpy frees it there rather than at the block's end.
         """
         cfg = self.config
         vals = assembled.values
@@ -459,12 +461,22 @@ class BackboneModel:
         # No key bias: softmax cancels a constant added to all of a query's scores.
         k = heads(T.matmul(pre, p[f"layer{i}.attn.wk"]))
         v = heads(T.matmul(pre, p[f"layer{i}.attn.wv"], p[f"layer{i}.attn.bv"]))
-        probs = T.softmax(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), bias, 1.0 / np.sqrt(hd))
+        # Each del or rebinding below drops a name at its last read.  In a
+        # forward that builds no graph nothing else holds that array, so
+        # numpy frees it there; a graph-building forward's backward closures
+        # keep it either way.
+        del rows, pre
+        probs = T.matmul(q, T.transpose(k, (0, 1, 3, 2)))
+        del q, k
+        probs = T.softmax(probs, bias, 1.0 / np.sqrt(hd))
         ctx = T.reshape(T.transpose(T.matmul(probs, v), (0, 2, 1, 3)), x.shape)
+        del probs, v
         x = T.add(x, T.matmul(ctx, p[f"layer{i}.attn.wo"], p[f"layer{i}.attn.bo"]))
+        del ctx
 
-        pre2 = T.layer_norm(x, p[f"layer{i}.ln2.g"], p[f"layer{i}.ln2.b"])
-        h = T.gelu(T.matmul(pre2, p[f"layer{i}.ffn.w1"], p[f"layer{i}.ffn.b1"]))
+        h = T.layer_norm(x, p[f"layer{i}.ln2.g"], p[f"layer{i}.ln2.b"])
+        h = T.matmul(h, p[f"layer{i}.ffn.w1"], p[f"layer{i}.ffn.b1"])
+        h = T.gelu(h)
         return T.add(x, T.matmul(h, p[f"layer{i}.ffn.w2"], p[f"layer{i}.ffn.b2"]))
 
     # -- persistence ---------------------------------------------------------

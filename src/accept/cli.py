@@ -134,6 +134,8 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     run_dir = Path(args.run_dir)
     spec = load_config(run_dir / "config.json")
+    # Evaluation never reads the init checkpoint, which may since have moved.
+    spec.pop("init", None)
     best_dir = run_dir / "best"
     if not best_dir.exists():
         raise ConfigError(f"{run_dir} has no best/ checkpoint to evaluate")

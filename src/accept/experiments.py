@@ -335,6 +335,8 @@ def resolve_shared(spec: dict, runs_root) -> SharedInputs:
 def _schedule(spec: dict) -> tuple[RunConfig, InitStrategy]:
     run_config = _build(RunConfig, spec.get("run", {}), "run")
     init = _build(InitStrategy, spec.get("init", {"kind": "random"}), "init")
+    if init.kind != "random" and not Path(init.path).exists():
+        raise ConfigError(f"init.path {init.path} does not exist")
     return run_config, init
 
 

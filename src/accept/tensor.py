@@ -325,7 +325,9 @@ def gelu(a: Tensor) -> Tensor:
     are written as products: on float32 arrays numpy's generic float power
     (``x**3``) is about 100x slower than two multiplies.  Both passes run
     their chains in place, in the float-op order of the formulas in the
-    comments, so each keeps two or three temporaries instead of ten.
+    comments, so each keeps two or three temporaries instead of ten.  An
+    input that needs no gradient has no backward to read ``th``, so the
+    forward forms ``1.0 + th`` in ``th``'s own buffer.
     """
     _require_tensor(a, "gelu")
     x = a.data
@@ -338,7 +340,11 @@ def gelu(a: Tensor) -> Tensor:
     np.tanh(th, out=th)
     # out = 0.5 * x * (1.0 + th)
     out = x * 0.5
-    out *= th + 1.0
+    if a.needs_grad:
+        out *= th + 1.0
+    else:
+        th += 1.0
+        out *= th
 
     def backward_fn(g: np.ndarray):
         # du = K * (1.0 + 3.0 * C * (x * x))

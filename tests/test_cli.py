@@ -303,6 +303,20 @@ def test_eval_reloads_best_checkpoint(tmp_path, tiny_backbone_dir, capsys):
     assert score == pytest.approx(summary["best_metric"])
 
 
+def test_eval_needs_no_init_checkpoint(tmp_path, tiny_backbone_dir, capsys):
+    assert main(["train", write_config(tmp_path, base_config(tiny_backbone_dir)),
+                 "--runs-dir", str(tmp_path / "source")]) == 0
+    source = tmp_path / "source-best"
+    shutil.copytree(next((tmp_path / "source").iterdir()) / "best", source)
+    spec = base_config(tiny_backbone_dir, init={"kind": "intermediate_task", "path": str(source)})
+    assert main(["train", write_config(tmp_path, spec, "warm.json"),
+                 "--runs-dir", str(tmp_path / "runs")]) == 0
+    shutil.rmtree(source)
+    capsys.readouterr()
+    assert main(["eval", "--run-dir", str(next((tmp_path / "runs").iterdir()))]) == 0
+    assert capsys.readouterr().out.startswith("accuracy=")
+
+
 def test_eval_accepts_inline_dataset(tmp_path, tiny_backbone_dir, capsys):
     cfg = write_config(tmp_path, base_config(tiny_backbone_dir))
     runs = str(tmp_path / "runs")
@@ -681,6 +695,21 @@ def test_mistyped_budget_exits_2_before_pretraining(tmp_path, capsys, monkeypatc
     assert main([*verb_args, cfg, "--runs-dir", str(tmp_path / "runs")]) == 2
     assert "scpp.budget" in capsys.readouterr().err
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "verb_args", [["train"], *MULTI_RUN_VERBS.values()], ids=["train", *MULTI_RUN_VERBS.keys()]
+)
+def test_missing_init_path_exits_2_before_pretraining(tmp_path, capsys, monkeypatch, verb_args):
+    calls = count_pretrains(monkeypatch)
+    missing = tmp_path / "source-run" / "best"
+    spec = inline_config()
+    spec["init"] = {"kind": "intermediate_task", "path": str(missing)}
+    cfg = write_config(tmp_path, spec)
+    assert main([*verb_args, cfg, "--runs-dir", str(tmp_path / "runs")]) == 2
+    assert f"init.path {missing} does not exist" in capsys.readouterr().err
+    assert calls == []
+    assert not (tmp_path / "runs").exists()
 
 
 def test_sweep_cell_matches_standalone_train_of_its_config(tmp_path, capsys):

@@ -5,6 +5,7 @@ import platform
 import subprocess
 import sys
 import threading
+import tracemalloc
 import types
 from pathlib import Path
 
@@ -461,6 +462,20 @@ def test_gelu_is_bitwise_the_written_out_formula(seed):
     local = 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th * th) * du
     assert out.data.tobytes() == ref.tobytes()
     assert ga.tobytes() == (g * local).tobytes()
+    # A constant input takes the no-gradient branch, which reuses th's buffer.
+    assert T.gelu(T.Tensor(x)).data.tobytes() == ref.tobytes()
+
+
+def test_gelu_without_gradient_holds_two_arrays_at_once():
+    x = T.Tensor(np.ones((64, 76, 256), dtype=np.float32))  # an eval-size MLP input
+    tracemalloc.start()
+    try:
+        T.gelu(x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # th and the output; a separate 1.0 + th would make three.
+    assert peak < 2.5 * x.data.nbytes
 
 
 @pytest.mark.parametrize("seed", range(3))
