@@ -5,8 +5,9 @@ pretraining recipe), train/eval datasets (generator parameters or JSONL
 paths), the prompt components with their parameter budgets, the run
 schedule, the initialization strategy, and optionally a few-shot subset
 of the train set.  Every run lands in its own directory keyed by a hash
-of the resolved config, holding config.json, history.csv, a best/ prompt
-checkpoint, and summary.json.  An inline recipe's backbone is pretrained
+of the resolved config, and of the loaded prompt leaves for a checkpoint
+init, holding config.json, history.csv, a best/ prompt checkpoint, and
+summary.json.  An inline recipe's backbone is pretrained
 once into the runs root's store, .backbones/<key>/, and loaded from there.
 
 The multi-run verbs (granularity sweep, ablation grid, few-shot protocol,
@@ -248,24 +249,15 @@ def parse_backbone(obj, runs_root, where: str = "backbone") -> BackboneModel:
     return BackboneModel.load(entry)
 
 
-@dataclass(frozen=True)
-class PromptPlan:
-    """One component's resolved dimensions plus its declared budget."""
-
-    dims: PromptDims
-    budget: int | None
-
-    @property
-    def params(self) -> int:
-        return self.dims.param_count()
-
-
-def parse_prompt_block(obj, d: int, component: str, positions: int | None = None) -> PromptPlan:
-    """Resolve {m?, K, budget?, r?} into concrete dimensions.
+def parse_prompt_block(
+    obj, d: int, component: str, allow_over: bool, positions: int | None = None
+) -> PromptDims:
+    """Resolve {m?, K, budget?, r?} into concrete dimensions within the budget.
 
     positions comes from the block's 'm' for prepended prompts and from
     the model grid for added prompts.  When r is omitted it is solved
-    from the budget; an explicit r is still checked against the budget.
+    from the budget; an explicit r is still checked against the budget
+    unless allow_over.
     """
     _check_types(obj, _BLOCK_TYPES, component)
     K = _require(obj, "K", component)
@@ -284,15 +276,12 @@ def parse_prompt_block(obj, d: int, component: str, positions: int | None = None
                 f"(one codeword set costs {d + positions * K})"
             )
     dims = PromptDims(positions=positions, d=d, K=K, r=r)
-    return PromptPlan(dims=dims, budget=budget)
-
-
-def check_budget(plan: PromptPlan, component: str, allow_over: bool) -> None:
-    if plan.budget is not None and plan.params > plan.budget and not allow_over:
+    if budget is not None and dims.param_count() > budget and not allow_over:
         raise ConfigError(
-            f"{component}: param count {plan.params} exceeds budget {plan.budget} "
+            f"{component}: param count {dims.param_count()} exceeds budget {budget} "
             f"(pass --allow-over-budget to run anyway)"
         )
+    return dims
 
 
 @dataclass(frozen=True)
@@ -307,10 +296,7 @@ class SharedInputs:
 @dataclass(frozen=True)
 class ResolvedExperiment(SharedInputs):
     run_config: RunConfig
-    init: InitStrategy
-    scpp: PromptPlan | None
-    scap: PromptPlan | None
-    direct_prepend: int | None  # row count for a plain prompt-tuning component
+    prompts: PromptSet  # the cell's own initial prompts; training replaces their leaves
 
 
 def resolve_shared(spec: dict, runs_root) -> SharedInputs:
@@ -343,7 +329,12 @@ def _schedule(spec: dict) -> tuple[RunConfig, InitStrategy]:
 def resolve_prompts(
     spec: dict, shared: SharedInputs, allow_over_budget: bool = False
 ) -> ResolvedExperiment:
-    """Resolve spec's schedule, init, few-shot subset and prompt blocks against `shared`."""
+    """Resolve spec's schedule, few-shot subset and initial prompts against `shared`.
+
+    A checkpoint init is read and checked against the prompt blocks here,
+    so every cell of a multi-run verb is loaded before the first one
+    trains.  Each call builds new prompt containers.
+    """
     run_config, init = _schedule(spec)
     train_set = shared.train_set
     if "fewshot" in spec:
@@ -353,49 +344,34 @@ def resolve_prompts(
             train_set = fewshot_sample(train_set, **fewshot)
         except TypeError as err:
             raise ConfigError(f"fewshot: {err}") from None
-    d = shared.model.config.d
-    scpp = scap = None
-    direct = None
+    cfg = shared.model.config
+    dims_p = dims_a = direct = None
     if "scpp" in spec:
-        scpp = parse_prompt_block(spec["scpp"], d, "scpp")
-        check_budget(scpp, "scpp", allow_over_budget)
+        dims_p = parse_prompt_block(spec["scpp"], cfg.d, "scpp", allow_over_budget)
     if "scap" in spec:
-        scap = parse_prompt_block(spec["scap"], d, "scap", positions=shared.model.config.max_len)
-        check_budget(scap, "scap", allow_over_budget)
+        dims_a = parse_prompt_block(spec["scap"], cfg.d, "scap", allow_over_budget, cfg.max_len)
     if "direct_prepend" in spec:
-        if scpp is not None:
+        if dims_p is not None:
             raise ConfigError("direct_prepend and scpp are mutually exclusive")
-        direct = _require(spec["direct_prepend"], "m", "direct_prepend")
-        if direct < 1:
-            raise ConfigError(f"direct_prepend.m must be >= 1, got {direct}")
-    if scpp is None and scap is None and direct is None:
+        m = _require(spec["direct_prepend"], "m", "direct_prepend")
+        if m < 1:
+            raise ConfigError(f"direct_prepend.m must be >= 1, got {m}")
+        rows = np.random.default_rng((run_config.seed, 2)).normal(0.0, 0.1, size=(m, cfg.d))
+        direct = DirectPrompt(Tensor(rows.astype(cfg.np_dtype), trainable=True, name="pt_rows"))
+    if dims_p is None and dims_a is None and direct is None:
         raise ConfigError("experiment needs at least one of scpp, scap, direct_prepend")
-    return ResolvedExperiment(
-        shared.model, train_set, shared.eval_set, run_config, init, scpp, scap, direct
-    )
+    prompts = None
+    if dims_p is not None or dims_a is not None:
+        prompts = apply_init(init, dims_p, dims_a, seed=run_config.seed, dtype=cfg.np_dtype)
+    if direct is not None:
+        prompts = PromptSet(prepended=direct, added=prompts.added if prompts else None)
+    return ResolvedExperiment(shared.model, train_set, shared.eval_set, run_config, prompts)
 
 
 def resolve_experiment(
     spec: dict, runs_root, allow_over_budget: bool = False
 ) -> ResolvedExperiment:
     return resolve_prompts(spec, resolve_shared(spec, runs_root), allow_over_budget)
-
-
-def build_prompts(resolved: ResolvedExperiment) -> PromptSet:
-    dims_p = resolved.scpp.dims if resolved.scpp else None
-    dims_a = resolved.scap.dims if resolved.scap else None
-    dtype = resolved.model.config.np_dtype
-    seed = resolved.run_config.seed
-    if dims_p is not None or dims_a is not None:
-        prompts = apply_init(resolved.init, dims_p, dims_a, seed=seed, dtype=dtype)
-    else:
-        prompts = None
-    if resolved.direct_prepend is not None:
-        rng = np.random.default_rng((seed, 2))
-        rows = rng.normal(0.0, 0.1, size=(resolved.direct_prepend, resolved.model.config.d))
-        direct = DirectPrompt(Tensor(rows.astype(dtype), trainable=True, name="pt_rows"))
-        prompts = PromptSet(prepended=direct, added=prompts.added if prompts else None)
-    return prompts
 
 
 # -- single run --------------------------------------------------------------------
@@ -419,13 +395,18 @@ def run_experiment(
 
 
 def _run_resolved(spec: dict, resolved: ResolvedExperiment, runs_root) -> RunResult:
-    run_id = run_id_for(spec)
+    # A checkpoint init keys the run id on the initial leaves' bytes, so a
+    # checkpoint replaced in place gives a new run.
+    init_key = {}
+    if spec.get("init", {}).get("kind") == "checkpoint":
+        leaves = b"".join(leaf.data.tobytes() for leaf in resolved.prompts.snapshot())
+        init_key["init_sha256"] = hashlib.sha256(leaves).hexdigest()
+    run_id = run_id_for({**spec, **init_key})
     run_dir = Path(runs_root) / run_id
-    prompts = build_prompts(resolved)
 
     started = time.perf_counter()
     prompts, history = train(
-        resolved.run_config, resolved.model, prompts, resolved.train_set, resolved.eval_set
+        resolved.run_config, resolved.model, resolved.prompts, resolved.train_set, resolved.eval_set
     )
     wall = time.perf_counter() - started
     final_metric = evaluate(
@@ -455,15 +436,11 @@ def _run_resolved(spec: dict, resolved: ResolvedExperiment, runs_root) -> RunRes
         save_checkpoint(best_dir, prompts, history)
         prompts.load_snapshot(final_state)
 
-    counts = {
-        "scpp": resolved.scpp.params if resolved.scpp else 0,
-        "scap": resolved.scap.params if resolved.scap else 0,
-        "direct_prepend": (
-            resolved.direct_prepend * resolved.model.config.d if resolved.direct_prepend else 0
-        ),
-    }
+    counts = dict.fromkeys(_PROMPT_KEYS, 0)
+    for key, comp in prompts.components():
+        kind = "direct_prepend" if isinstance(comp, DirectPrompt) else key
+        counts[kind] = sum(ref.get().size for ref in comp.param_refs(key))
     counts["total"] = sum(counts.values())
-    trainable = prompts.trainable_count()
     summary = {
         "run_id": run_id,
         "config_hash": hashlib.sha256(canonical_json(spec).encode()).hexdigest(),
@@ -473,10 +450,11 @@ def _run_resolved(spec: dict, resolved: ResolvedExperiment, runs_root) -> RunRes
         "best_step": history.best.step if history.best else None,
         "final_metric": float(final_metric),
         "params": counts,
-        "trainable_params": trainable,
+        "trainable_params": prompts.trainable_count(),
         "backbone_hash": resolved.model.hash_params(),
         "wall_time_s": wall,
         "created_unix": time.time(),
+        **init_key,
     }
     (tmp_dir / "summary.json").write_text(
         json.dumps(summary, sort_keys=True, indent=2) + "\n", encoding="utf-8"
@@ -673,8 +651,8 @@ def run_ablate(
         if "ap" in toggles:
             blocks["scap"] = scap_block
             params_ap = parse_prompt_block(
-                scap_block, d, "scap", positions=shared.model.config.max_len
-            ).params
+                scap_block, d, "scap", allow_over=False, positions=shared.model.config.max_len
+            ).param_count()
         plan.append((cell, params_pp, params_ap, params_pp + params_ap))
         cell_specs.append(_cell_spec(base_spec, f"ablate-{cell}", blocks))
 

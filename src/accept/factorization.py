@@ -46,7 +46,8 @@ class DimensionError(ValueError):
 
 
 class InitError(ValueError):
-    """Random initialization failed its construction-time scale check."""
+    """Initial prompts are unusable: a random draw failed its scale check, or
+    a checkpoint lacks a configured component or differs in dims or dtype."""
 
 
 # Standard deviation that init_random aims each composed prompt entry at.

@@ -87,11 +87,12 @@ class InitStrategy:
     path: str | None = None
 
     def __post_init__(self):
-        kinds = ("random", "intermediate_task", "target_task")
-        if self.kind not in kinds:
-            raise ContractError(f"init kind must be one of {kinds}, got {self.kind!r}")
-        if self.kind != "random" and not self.path:
-            raise ContractError(f"init kind {self.kind!r} requires a checkpoint path")
+        if self.kind in ("intermediate_task", "target_task"):
+            raise ContractError(f"init kind {self.kind!r} is now 'checkpoint'")
+        if self.kind not in ("random", "checkpoint"):
+            raise ContractError(f"init kind must be 'random' or 'checkpoint', got {self.kind!r}")
+        if self.kind == "checkpoint" and not self.path:
+            raise ContractError("init kind 'checkpoint' requires a checkpoint path")
 
 
 @dataclass(frozen=True)
@@ -376,8 +377,8 @@ def apply_init(
 ) -> PromptSet:
     """Build the initial PromptSet for a run.
 
-    random draws fresh factors; the checkpoint-backed kinds load previously
-    trained factors and require exactly matching dimensions.
+    random draws fresh factors; checkpoint loads previously trained
+    factors, which must match the configured dimensions and dtype.
     """
     if dims_scpp is None and dims_scap is None:
         raise ContractError("at least one prompt component must be configured")
@@ -391,6 +392,10 @@ def apply_init(
             added = FactorizedPrompt(c, w)
         return PromptSet(prepended=prepended, added=added)
 
+    if np.dtype(dtype) != np.float32:
+        raise InitError(
+            f"checkpoint {strategy.path} holds f32 prompts, model wants {np.dtype(dtype).name}"
+        )
     loaded = load_prompts(strategy.path, trainable=True)
 
     def pick(label: str, dims: PromptDims | None):

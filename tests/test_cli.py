@@ -308,13 +308,60 @@ def test_eval_needs_no_init_checkpoint(tmp_path, tiny_backbone_dir, capsys):
                  "--runs-dir", str(tmp_path / "source")]) == 0
     source = tmp_path / "source-best"
     shutil.copytree(next((tmp_path / "source").iterdir()) / "best", source)
-    spec = base_config(tiny_backbone_dir, init={"kind": "intermediate_task", "path": str(source)})
+    spec = base_config(tiny_backbone_dir, init={"kind": "checkpoint", "path": str(source)})
     assert main(["train", write_config(tmp_path, spec, "warm.json"),
                  "--runs-dir", str(tmp_path / "runs")]) == 0
     shutil.rmtree(source)
     capsys.readouterr()
     assert main(["eval", "--run-dir", str(next((tmp_path / "runs").iterdir()))]) == 0
     assert capsys.readouterr().out.startswith("accuracy=")
+
+
+def test_checkpoint_init_keys_the_run_id_on_the_checkpoint_bytes(
+    tmp_path, tiny_backbone_dir, capsys
+):
+    sources = []
+    for seed in (1, 2):
+        spec = base_config(tiny_backbone_dir)
+        spec["run"]["seed"] = seed
+        runs = tmp_path / f"source{seed}"
+        assert main(["train", write_config(tmp_path, spec), "--runs-dir", str(runs)]) == 0
+        sources.append(next(runs.iterdir()) / "best")
+    init = tmp_path / "init-best"
+    shutil.copytree(sources[0], init)
+    warm = write_config(
+        tmp_path, base_config(tiny_backbone_dir, init={"kind": "checkpoint", "path": str(init)}),
+        "warm.json",
+    )
+    runs = tmp_path / "runs"
+    assert main(["train", warm, "--runs-dir", str(runs)]) == 0
+    (first,) = runs.iterdir()
+    first_files = {p: p.read_bytes() for p in first.rglob("*") if p.is_file()}
+    # The same config over a checkpoint replaced in place is a new run.
+    shutil.rmtree(init)
+    shutil.copytree(sources[1], init)
+    assert main(["train", warm, "--runs-dir", str(runs)]) == 0
+    second = next(p for p in runs.iterdir() if p != first)
+    assert {p: p.read_bytes() for p in first.rglob("*") if p.is_file()} == first_files
+    shas = [json.loads((rd / "summary.json").read_text())["init_sha256"] for rd in (first, second)]
+    assert shas[0] != shas[1]
+    assert first.name != run_id_for(json.loads((first / "config.json").read_text()))
+
+
+def test_checkpoint_init_that_misfits_one_cell_fails_before_any_cell_trains(
+    tmp_path, tiny_backbone_dir, capsys
+):
+    spec = base_config(tiny_backbone_dir)  # scpp K=2, t=8
+    source = tmp_path / "source"
+    assert main(["train", write_config(tmp_path, spec), "--runs-dir", str(source)]) == 0
+    best = next(source.iterdir()) / "best"
+    spec["init"] = {"kind": "checkpoint", "path": str(best)}
+    runs = tmp_path / "runs"
+    assert main(["sweep-granularity", "--config", write_config(tmp_path, spec, "warm.json"),
+                 "--component", "scpp", "--budget", "100", "--t-values", "8,16",
+                 "--runs-dir", str(runs)]) == 2
+    assert "do not match configured" in capsys.readouterr().err
+    assert not runs.exists() or list(runs.iterdir()) == []
 
 
 def test_eval_accepts_inline_dataset(tmp_path, tiny_backbone_dir, capsys):
@@ -704,7 +751,7 @@ def test_missing_init_path_exits_2_before_pretraining(tmp_path, capsys, monkeypa
     calls = count_pretrains(monkeypatch)
     missing = tmp_path / "source-run" / "best"
     spec = inline_config()
-    spec["init"] = {"kind": "intermediate_task", "path": str(missing)}
+    spec["init"] = {"kind": "checkpoint", "path": str(missing)}
     cfg = write_config(tmp_path, spec)
     assert main([*verb_args, cfg, "--runs-dir", str(tmp_path / "runs")]) == 2
     assert f"init.path {missing} does not exist" in capsys.readouterr().err
@@ -714,13 +761,19 @@ def test_missing_init_path_exits_2_before_pretraining(tmp_path, capsys, monkeypa
 
 def test_sweep_cell_matches_standalone_train_of_its_config(tmp_path, capsys):
     cfg = write_config(tmp_path, inline_config())
+    assert main(["train", cfg, "--runs-dir", str(tmp_path / "source")]) == 0
+    warm = inline_config()
+    warm["init"] = {"kind": "checkpoint", "path": str(first_run(tmp_path / "source") / "best")}
     cases = [
         (["sweep-granularity", "--component", "scpp", "--budget", "100",
-          "--t-values", "8,16", "--config"], "granularity-scpp-t8"),
+          "--t-values", "8,16", "--config"], "granularity-scpp-t8", cfg),
         # seed index 1: its run.seed and train subset both differ from the base's.
-        (["fewshot", "--gamma", "4,8", "--seeds", "2"], "fewshot-gamma8-seed1"),
+        (["fewshot", "--gamma", "4,8", "--seeds", "2"], "fewshot-gamma8-seed1", cfg),
+        # Every cell starts from the checkpoint, not from an earlier cell's leaves.
+        (["fewshot", "--gamma", "4,8", "--seeds", "2"], "fewshot-gamma8-seed1",
+         write_config(tmp_path, warm, "warm.json")),
     ]
-    for k, (verb_args, name) in enumerate(cases):
+    for k, (verb_args, name, cfg) in enumerate(cases):
         sweep, alone = tmp_path / f"sweep{k}", tmp_path / f"alone{k}"
         assert main([*verb_args, cfg, "--runs-dir", str(sweep)]) == 0
         cell = next(

@@ -103,9 +103,13 @@ def test_config_allows_zero_steps():
     assert cfg.steps == 0
 
 
-def test_init_strategy_requires_path_for_checkpoint_kinds():
-    with pytest.raises(ContractError):
-        InitStrategy(kind="intermediate_task")
+@pytest.mark.parametrize("old_kind", ["intermediate_task", "target_task"])
+def test_init_strategy_requires_path_for_checkpoint_kinds(old_kind):
+    with pytest.raises(ContractError, match="requires a checkpoint path"):
+        InitStrategy(kind="checkpoint")
+    # The two former names of the checkpoint kind point to its one name.
+    with pytest.raises(ContractError, match="'checkpoint'"):
+        InitStrategy(kind=old_kind, path="best")
     with pytest.raises(ContractError):
         InitStrategy(kind="mystery")
 
@@ -328,7 +332,7 @@ def test_checkpoint_init_round_trip(tmp_path):
     save_checkpoint(tmp_path, prompts)
     dims_p = PromptDims(positions=2, d=16, K=2, r=2)
     dims_a = PromptDims(positions=8, d=16, K=2, r=2)
-    strat = InitStrategy(kind="intermediate_task", path=str(tmp_path))
+    strat = InitStrategy(kind="checkpoint", path=str(tmp_path))
     loaded = apply_init(strat, dims_p, dims_a, seed=0)
     assert np.array_equal(
         loaded.prepended.codebook.entries.data, prompts.prepended.codebook.entries.data
@@ -339,16 +343,18 @@ def test_checkpoint_init_round_trip(tmp_path):
 
 def test_checkpoint_init_rejects_dim_mismatch(tmp_path):
     save_checkpoint(tmp_path, fresh_prompts())
-    strat = InitStrategy(kind="target_task", path=str(tmp_path))
+    strat = InitStrategy(kind="checkpoint", path=str(tmp_path))
     wrong_r = PromptDims(positions=2, d=16, K=2, r=3)
     with pytest.raises(InitError, match="dims"):
         apply_init(strat, wrong_r, None, seed=0)
+    with pytest.raises(InitError, match="holds f32 prompts, model wants float64"):
+        apply_init(strat, PromptDims(positions=2, d=16, K=2, r=2), None, seed=0, dtype=np.float64)
 
 
 def test_checkpoint_init_rejects_missing_component(tmp_path):
     only_scpp = PromptSet(prepended=fresh_prompts().prepended)
     save_checkpoint(tmp_path, only_scpp)
-    strat = InitStrategy(kind="intermediate_task", path=str(tmp_path))
+    strat = InitStrategy(kind="checkpoint", path=str(tmp_path))
     with pytest.raises(InitError, match="scap"):
         apply_init(strat, PromptDims(2, 16, 2, 2), PromptDims(8, 16, 2, 2), seed=0)
 
