@@ -602,9 +602,10 @@ def pretrain_backbone(
     Each source task is cued by its own steering row so the network learns
     to read instructions from a prefix.  The learning rate warms up
     linearly, then decays linearly towards 0 by the last step, so the
-    frozen weights are a settled iterate, not a full-rate snapshot.
-    Returns the frozen model and a per-task accuracy report measured
-    after freezing.
+    frozen weights are a settled iterate, not a full-rate snapshot.  A
+    step's autodiff graph is freed at its optimizer step, before the next
+    forward or the report.  Returns the frozen model and a per-task
+    accuracy report measured after freezing.
     """
     pre = pre or PretrainConfig()
     if not 1 <= len(datasets) <= N_TASK_SLOTS:
@@ -639,6 +640,9 @@ def pretrain_backbone(
         except T.NonFiniteError as err:
             raise TrainingError(f"pretraining diverged at step {step}: {err}") from None
         opt.step(grads, {"backbone": warmup_decay_lr(pre.lr, step, pre.warmup, pre.steps)})
+        # The logits and loss hold this step's whole graph: drop it here, so
+        # neither the next forward nor the slot report runs beside it.
+        del logits, loss, grads
 
     model.freeze()
     report = {

@@ -332,10 +332,20 @@ def resolve_prompts(
     """Resolve spec's schedule, few-shot subset and initial prompts against `shared`.
 
     A checkpoint init is read and checked against the prompt blocks here,
-    so every cell of a multi-run verb is loaded before the first one
-    trains.  Each call builds new prompt containers.
+    and against the backbone when it sits in a finished run, so every cell
+    of a multi-run verb is loaded before the first one trains.  Each call
+    builds new prompt containers.
     """
     run_config, init = _schedule(spec)
+    # A checkpoint that sits in a finished run names the backbone it was trained on.
+    source = init.path and Path(init.path).parent / "summary.json"
+    if source and source.exists():
+        trained_on = json.loads(source.read_text(encoding="utf-8"))["backbone_hash"]
+        current = shared.model.hash_params()
+        if trained_on != current:
+            raise ConfigError(
+                f"init.path {init.path} was trained on backbone {trained_on}, config gives {current}"
+            )
     train_set = shared.train_set
     if "fewshot" in spec:
         fewshot = spec["fewshot"]
@@ -681,10 +691,13 @@ def run_fewshot(
     no best.  Every value is re-read out of the written CSV before
     aggregating, so the summary provably matches the files.  The CSVs go
     into a hidden sibling that replaces fewshot-<id>/ once summary.csv
-    exists.
+    exists; <id> keys on the base config and, for a checkpoint init, on
+    the checkpoint's leaves.
     """
     if num_seeds < 1:
         raise ConfigError(f"need at least one seed, got {num_seeds}")
+    if not gammas:
+        raise ConfigError("need at least one gamma")
     if any(g < 1 for g in gammas):
         raise ConfigError(f"gammas must be positive, got {gammas}")
     if len(set(gammas)) != len(gammas):
@@ -703,7 +716,11 @@ def run_fewshot(
     ]
     results = _run_cells(cell_specs, shared, runs_root)
 
-    sweep_dir = Path(runs_root) / f"fewshot-{run_id_for(base_spec)}"
+    # Keyed like the cells' run ids, so a checkpoint replaced in place gets
+    # a new directory.
+    sha = results[0].summary.get("init_sha256")
+    key = base_spec if sha is None else {**base_spec, "init_sha256": sha}
+    sweep_dir = Path(runs_root) / f"fewshot-{run_id_for(key)}"
     tmp_dir = _fresh_tmp_dir(sweep_dir)
     for k, gamma in enumerate(gammas):
         rows = []

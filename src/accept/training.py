@@ -93,6 +93,8 @@ class InitStrategy:
             raise ContractError(f"init kind must be 'random' or 'checkpoint', got {self.kind!r}")
         if self.kind == "checkpoint" and not self.path:
             raise ContractError("init kind 'checkpoint' requires a checkpoint path")
+        if self.kind == "random" and self.path is not None:
+            raise ContractError("init kind 'random' takes no path; a checkpoint init is 'checkpoint'")
 
 
 @dataclass(frozen=True)
@@ -315,7 +317,9 @@ def train(
 
     Evaluates every eval_interval steps, recording the mean train loss
     since the previous evaluation; retains the first-seen best snapshot.
-    Deterministic for a fixed config and seed.
+    A step's autodiff graph is freed at its optimizer step, before the
+    next forward or any evaluation.  Deterministic for a fixed config and
+    seed.
     """
     if not model.frozen:
         raise ContractError("model must be frozen before adaptation")
@@ -344,6 +348,10 @@ def train(
         }
         opt.step(grads, lr_now)
         value = float(loss.data)
+        # The loss holds this step's whole graph (every saved activation and
+        # backward closure): drop it here, so neither the next forward nor
+        # the evaluation below runs beside it.
+        del loss, grads
         history.step_losses.append(value)
         window.append(value)
         if step % config.eval_interval == 0:

@@ -10,6 +10,7 @@ touch this fixture.
 """
 import hashlib
 import json
+import weakref
 
 import pytest
 
@@ -83,3 +84,43 @@ def desk_backbone(request, tmp_path_factory):
 def desk_task():
     """Fresh pair-match instances, disjoint seeds from the pretrain mixture."""
     return desk_pair_match()
+
+
+class GraphWatch:
+    """Counts the training graphs still alive where a watched function starts.
+
+    Every `gelu` output built with a gradient belongs to one step's graph,
+    which keeps it alive through a saved activation or a backward closure.
+    So the number of those outputs still alive at a function's entry counts
+    what is left of earlier graphs.
+    """
+
+    def __init__(self, monkeypatch):
+        from accept import tensor as T
+
+        self._monkeypatch = monkeypatch
+        self.outputs = []  # weak references to the gelu outputs of every graph
+        self.entries = []  # (function name, outputs alive at its entry)
+        gelu = T.gelu
+
+        def recording_gelu(a):
+            out = gelu(a)
+            if out.needs_grad:
+                self.outputs.append(weakref.ref(out.data))
+            return out
+
+        monkeypatch.setattr(T, "gelu", recording_gelu)
+
+    def watch(self, owner, name: str) -> None:
+        original = getattr(owner, name)
+
+        def entered(*args, **kwargs):
+            self.entries.append((name, sum(ref() is not None for ref in self.outputs)))
+            return original(*args, **kwargs)
+
+        self._monkeypatch.setattr(owner, name, entered)
+
+
+@pytest.fixture
+def graph_watch(monkeypatch):
+    return GraphWatch(monkeypatch)

@@ -821,6 +821,20 @@ def test_pretrain_same_seed_same_theta():
     assert a.hash_params() == b.hash_params()
 
 
+def test_no_pretraining_graph_outlives_its_step(graph_watch):
+    from accept import backbone
+
+    cfg = BackboneConfig(d=16, layers=1, heads=2, vocab_size=16, max_len=8)
+    graph_watch.watch(backbone, "_slot_accuracy")
+    # Every forward, the next step's and each report batch's, starts here.
+    graph_watch.watch(BackboneModel, "logits")
+    pretrain_backbone(cfg, small_sources(), PretrainConfig(steps=5, batch_size=8))
+    names = [name for name, _ in graph_watch.entries]
+    assert names.count("_slot_accuracy") == 2 and names.count("logits") == 7
+    assert len(graph_watch.outputs) == 5
+    assert graph_watch.entries == [(name, 0) for name in names]
+
+
 def test_pretrain_rejects_class_mismatch():
     cfg = BackboneConfig(d=16, layers=1, heads=2, vocab_size=16, max_len=8, num_classes=3)
     with pytest.raises(ArchitectureError, match="classes"):

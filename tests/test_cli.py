@@ -333,16 +333,24 @@ def test_checkpoint_init_keys_the_run_id_on_the_checkpoint_bytes(
         tmp_path, base_config(tiny_backbone_dir, init={"kind": "checkpoint", "path": str(init)}),
         "warm.json",
     )
-    runs = tmp_path / "runs"
+    runs, agg = tmp_path / "runs", tmp_path / "fewshot"
+    fewshot = ["fewshot", warm, "--gamma", "4", "--seeds", "1", "--runs-dir", str(agg)]
     assert main(["train", warm, "--runs-dir", str(runs)]) == 0
+    assert main(fewshot) == 0
     (first,) = runs.iterdir()
     first_files = {p: p.read_bytes() for p in first.rglob("*") if p.is_file()}
-    # The same config over a checkpoint replaced in place is a new run.
+    (first_agg,) = agg.glob("fewshot-*")
+    first_summary = (first_agg / "summary.csv").read_bytes()
+    # The same config over a checkpoint replaced in place is a new run,
+    # and the few-shot protocol over it a new aggregate.
     shutil.rmtree(init)
     shutil.copytree(sources[1], init)
     assert main(["train", warm, "--runs-dir", str(runs)]) == 0
+    assert main(fewshot) == 0
     second = next(p for p in runs.iterdir() if p != first)
     assert {p: p.read_bytes() for p in first.rglob("*") if p.is_file()} == first_files
+    assert len(list(agg.glob("fewshot-*"))) == 2
+    assert (first_agg / "summary.csv").read_bytes() == first_summary
     shas = [json.loads((rd / "summary.json").read_text())["init_sha256"] for rd in (first, second)]
     assert shas[0] != shas[1]
     assert first.name != run_id_for(json.loads((first / "config.json").read_text()))
@@ -362,6 +370,25 @@ def test_checkpoint_init_that_misfits_one_cell_fails_before_any_cell_trains(
                  "--runs-dir", str(runs)]) == 2
     assert "do not match configured" in capsys.readouterr().err
     assert not runs.exists() or list(runs.iterdir()) == []
+
+
+def test_checkpoint_init_from_another_backbone_fails_before_any_cell_trains(
+    tmp_path, tiny_backbone_dir, capsys
+):
+    # The source run trains on the inline recipe's backbone, not on the tiny one.
+    source = tmp_path / "source"
+    assert main(["train", write_config(tmp_path, inline_config()), "--runs-dir", str(source)]) == 0
+    best = first_run(source) / "best"
+    spec = base_config(tiny_backbone_dir, init={"kind": "checkpoint", "path": str(best)})
+    runs = tmp_path / "runs"
+    assert main(["fewshot", write_config(tmp_path, spec, "warm.json"), "--gamma", "4",
+                 "--seeds", "2", "--runs-dir", str(runs)]) == 2
+    assert f"init.path {best} was trained on backbone" in capsys.readouterr().err
+    assert no_entries(runs)
+    # Moved out of its run, the checkpoint names no backbone and is taken as it is.
+    shutil.copytree(best, tmp_path / "moved-best")
+    spec["init"]["path"] = str(tmp_path / "moved-best")
+    assert main(["train", write_config(tmp_path, spec, "moved.json"), "--runs-dir", str(runs)]) == 0
 
 
 def test_eval_accepts_inline_dataset(tmp_path, tiny_backbone_dir, capsys):
@@ -551,6 +578,8 @@ def test_fewshot_duplicate_gammas_exit_2_before_any_cell(tmp_path, tiny_backbone
                  "--runs-dir", str(tmp_path / "runs")]) == 2
     assert "duplicate gammas" in capsys.readouterr().err
     assert no_entries(tmp_path / "runs")
+    assert main(["fewshot", cfg, "--gamma", "", "--runs-dir", str(tmp_path / "runs")]) == 2
+    assert "need at least one gamma" in capsys.readouterr().err
 
 
 def test_fewshot_cells_are_finished_runs_on_the_backbone(tmp_path, tiny_backbone_dir, capsys):

@@ -112,6 +112,9 @@ def test_init_strategy_requires_path_for_checkpoint_kinds(old_kind):
         InitStrategy(kind=old_kind, path="best")
     with pytest.raises(ContractError):
         InitStrategy(kind="mystery")
+    # A path without the checkpoint kind would train from random prompts.
+    with pytest.raises(ContractError, match="'random' takes no path"):
+        InitStrategy(path="best")
 
 
 # -- zero-step and contract behavior ----------------------------------------------
@@ -234,6 +237,20 @@ def test_early_stop_halts_at_threshold():
     _, history = train(cfg, model, fresh_prompts(), tiny_task(), tiny_task(1))
     # Any metric satisfies threshold 0.0, so the run stops at the first eval.
     assert [r.step for r in history.records] == [10]
+
+
+def test_no_training_graph_outlives_its_step(graph_watch):
+    from accept import training
+
+    model = frozen_model()
+    graph_watch.watch(training, "evaluate")
+    # Every forward, the next step's and each evaluation batch's, starts here.
+    graph_watch.watch(BackboneModel, "logits")
+    train(quick_cfg(), model, fresh_prompts(), tiny_task(), tiny_task(seed=1, split="eval"))
+    names = [name for name, _ in graph_watch.entries]
+    assert names.count("evaluate") == 2 and names.count("logits") > 20
+    assert len(graph_watch.outputs) == 20 * TINY32.layers
+    assert graph_watch.entries == [(name, 0) for name in names]
 
 
 def test_best_snapshot_reproduces_best_metric():
