@@ -490,18 +490,12 @@ class BackboneModel:
         arch = asdict(self.config)
         (d / "arch.json").write_text(json.dumps(arch, sort_keys=True, indent=2) + "\n")
         for name, t in sorted(self.params.items()):
-            manifest = {
-                "kind": "tensor",
-                "name": name,
-                "shape": list(t.shape),
-                "dtype": "f32",
-                "byte_order": "little",
-            }
+            manifest = {"kind": "tensor", "name": name, "shape": list(t.shape)}
             write_fragment(d, name, manifest, t.data)
 
     @classmethod
-    def load(cls, dirpath, trainable: bool = False) -> "BackboneModel":
-        """Read a directory written by save; refuse a fragment no parameter names."""
+    def load(cls, dirpath) -> "BackboneModel":
+        """Read a directory written by save, frozen; refuse a fragment no parameter names."""
         d = Path(dirpath)
         apath = d / "arch.json"
         if not apath.exists():
@@ -514,7 +508,7 @@ class BackboneModel:
         params = {}
         for name, shape, _ in specs:
             _, arr = read_fragment(d, name, shape)
-            params[name] = Tensor(arr, trainable=trainable, name=name, dtype=config.np_dtype)
+            params[name] = Tensor(arr, trainable=False, name=name, dtype=config.np_dtype)
         return cls(config, params)
 
 

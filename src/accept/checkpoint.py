@@ -1,10 +1,12 @@
-"""Checkpoint fragments: a JSON manifest next to raw little-endian float32.
+"""Checkpoint fragments: the storage format backbones and prompts share.
 
 Every persisted tensor becomes two files, ``<name>.json`` and
-``<name>.bin``.  The manifest records the logical dimensions plus the
-storage contract (dtype "f32", byte order "little"); the .bin holds the
-row-major values and nothing else.  Prompt checkpoints are one fragment
-pair per codebook and one per weight set.
+``<name>.bin``.  The manifest records the caller's metadata plus the
+storage contract (dtype "f32", byte order "little"), which write_fragment
+adds itself; the .bin holds the row-major values and nothing else.  A
+backbone is one fragment per parameter (``BackboneModel.save``); a prompt
+checkpoint is one codebook and one weights fragment per component
+(``training.save_checkpoint``).
 """
 from __future__ import annotations
 
@@ -13,16 +15,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .factorization import Codebook, WeightSet
-from .tensor import Tensor
-
-__all__ = [
-    "CheckpointFormatError",
-    "write_fragment",
-    "read_fragment",
-    "save_prompts",
-    "load_prompts",
-]
+__all__ = ["CheckpointFormatError", "write_fragment", "read_fragment"]
 
 
 class CheckpointFormatError(ValueError):
@@ -30,7 +23,7 @@ class CheckpointFormatError(ValueError):
 
 
 def write_fragment(dirpath, name: str, manifest: dict, array: np.ndarray) -> None:
-    """Write one manifest + raw pair.
+    """Write one manifest + raw pair, adding the dtype and byte order to the manifest.
 
     The array must already be float32; the format stores nothing else.
     """
@@ -38,12 +31,9 @@ def write_fragment(dirpath, name: str, manifest: dict, array: np.ndarray) -> Non
         raise CheckpointFormatError(
             f"fragment {name!r}: checkpoint format stores f32 only, got {array.dtype.name}"
         )
-    if manifest.get("dtype") != "f32" or manifest.get("byte_order") != "little":
-        raise CheckpointFormatError(
-            f"fragment {name!r}: manifest must declare dtype f32 and little byte order"
-        )
     d = Path(dirpath)
     d.mkdir(parents=True, exist_ok=True)
+    manifest = {**manifest, "dtype": "f32", "byte_order": "little"}
     text = json.dumps(manifest, sort_keys=True, indent=2) + "\n"
     (d / f"{name}.json").write_text(text, encoding="utf-8")
     (d / f"{name}.bin").write_bytes(np.ascontiguousarray(array, dtype="<f4").tobytes())
@@ -71,86 +61,3 @@ def read_fragment(dirpath, name: str, shape: tuple[int, ...]) -> tuple[dict, np.
         )
     arr = np.frombuffer(raw, dtype="<f4").astype(np.float32, copy=True).reshape(shape)
     return manifest, arr
-
-
-def _component_manifest(kind: str, codebook: Codebook, positions: int) -> dict:
-    return {
-        "kind": kind,
-        "K": codebook.K,
-        "t": codebook.t,
-        "r": codebook.r,
-        "positions": positions,
-        "dtype": "f32",
-        "byte_order": "little",
-    }
-
-
-def save_prompts(dirpath, scpp=None, scap=None) -> None:
-    """Persist prompt components as fragment pairs.
-
-    Args:
-        dirpath: target directory (created if needed).
-        scpp: optional (Codebook, WeightSet) for the prepended component.
-        scap: optional (Codebook, WeightSet) for the added component.
-    """
-    if scpp is None and scap is None:
-        raise CheckpointFormatError("save_prompts: nothing to save")
-    for label, pair in (("scpp", scpp), ("scap", scap)):
-        if pair is None:
-            continue
-        codebook, weights = pair
-        if codebook.K != weights.K or codebook.r != weights.r:
-            raise CheckpointFormatError(
-                f"save_prompts: {label} codebook/weights disagree "
-                f"(K {codebook.K} vs {weights.K}, r {codebook.r} vs {weights.r})"
-            )
-        write_fragment(
-            dirpath,
-            f"{label}_codebook",
-            _component_manifest("codebook", codebook, weights.positions),
-            codebook.entries.data,
-        )
-        write_fragment(
-            dirpath,
-            f"{label}_weights",
-            _component_manifest("weights", codebook, weights.positions),
-            weights.entries.data,
-        )
-
-
-def _load_component(dirpath, label: str, trainable: bool):
-    d = Path(dirpath)
-    if not (d / f"{label}_codebook.json").exists():
-        return None
-    cpath = d / f"{label}_codebook.json"
-    cm = json.loads(cpath.read_text(encoding="utf-8"))
-    for key in ("K", "t", "r", "positions"):
-        if not isinstance(cm.get(key), int):
-            raise CheckpointFormatError(f"{label}_codebook manifest: missing integer field {key!r}")
-    K, t, r, positions = cm["K"], cm["t"], cm["r"], cm["positions"]
-    _, c_arr = read_fragment(d, f"{label}_codebook", (K, r, t))
-    wm, w_arr = read_fragment(d, f"{label}_weights", (positions, K, r))
-    for key in ("K", "t", "r", "positions"):
-        if wm.get(key) != cm[key]:
-            raise CheckpointFormatError(
-                f"{label}: codebook and weights manifests disagree on {key!r} "
-                f"({cm[key]} vs {wm.get(key)})"
-            )
-    codebook = Codebook(Tensor(c_arr, trainable=trainable, name=f"{label}_codebook"))
-    weights = WeightSet(Tensor(w_arr, trainable=trainable, name=f"{label}_weights"))
-    return codebook, weights
-
-
-def load_prompts(dirpath, trainable: bool = True) -> dict:
-    """Load prompt components saved by save_prompts.
-
-    Returns {"scpp": (Codebook, WeightSet) | None, "scap": ... | None};
-    raises if the directory holds neither component.
-    """
-    out = {
-        "scpp": _load_component(dirpath, "scpp", trainable),
-        "scap": _load_component(dirpath, "scap", trainable),
-    }
-    if out["scpp"] is None and out["scap"] is None:
-        raise CheckpointFormatError(f"no prompt fragments found under {dirpath}")
-    return out

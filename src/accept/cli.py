@@ -144,7 +144,7 @@ def cmd_eval(args) -> int:
     current = resolved.model.hash_params()
     if trained_on != current:
         raise ConfigError(f"{run_dir} was trained on backbone {trained_on}, config gives {current}")
-    prompts, _ = load_checkpoint(best_dir, trainable=False)
+    prompts, _ = load_checkpoint(best_dir)
     if args.dataset:
         dataset = parse_dataset(json.loads(args.dataset), "dataset", split="eval")
     else:

@@ -53,7 +53,6 @@ from .tasks import Dataset, fewshot_sample, gen_task, load_jsonl
 from .tensor import Tensor
 from .training import (
     DirectPrompt,
-    FactorizedPrompt,
     InitStrategy,
     PromptSet,
     RunConfig,
@@ -435,16 +434,11 @@ def _run_resolved(spec: dict, resolved: ResolvedExperiment, runs_root) -> RunRes
         [(r.step, r.train_loss, r.eval_metric) for r in history.records],
     )
     # Persist the best prompts when the run is factorized end to end;
-    # a direct component exists only for baseline comparisons.
-    best_dir = tmp_dir / "best"
-    can_persist = all(
-        isinstance(comp, FactorizedPrompt) for _, comp in prompts.components()
-    )
-    if can_persist and history.best_snapshot is not None:
-        final_state = prompts.snapshot()
+    # a direct component exists only for baseline comparisons.  Below,
+    # only leaf sizes are read, so the final leaves need no restoring.
+    if prompts.factorized() and history.best_snapshot is not None:
         prompts.load_snapshot(history.best_snapshot)
-        save_checkpoint(best_dir, prompts, history)
-        prompts.load_snapshot(final_state)
+        save_checkpoint(tmp_dir / "best", prompts, history)
 
     counts = dict.fromkeys(_PROMPT_KEYS, 0)
     for key, comp in prompts.components():

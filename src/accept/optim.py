@@ -57,27 +57,23 @@ class ParamRef:
     lr_key: str
 
 
+# Adam's moment decay rates and denominator guard, fixed for every run.
+BETA1 = 0.9
+BETA2 = 0.999
+EPS = 1e-8
+
+
 class AdamW:
     """Adam moments with decoupled weight decay.
 
-    update = lr * (m_hat / (sqrt(v_hat) + eps) + weight_decay * param)
+    update = lr * (m_hat / (sqrt(v_hat) + EPS) + weight_decay * param)
 
     State arrays keep the parameter dtype, so float32 runs stay float32
     end to end and are bit-reproducible for a fixed seed and host.
     """
 
-    def __init__(
-        self,
-        refs: list[ParamRef],
-        beta1: float = 0.9,
-        beta2: float = 0.999,
-        eps: float = 1e-8,
-        weight_decay: float = 0.0,
-    ):
+    def __init__(self, refs: list[ParamRef], weight_decay: float = 0.0):
         self.refs = list(refs)
-        self.beta1 = beta1
-        self.beta2 = beta2
-        self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
         self._m = [np.zeros(r.get().shape, dtype=r.get().dtype) for r in self.refs]
@@ -92,8 +88,8 @@ class AdamW:
                 warmup-scaled by the caller.
         """
         self.t += 1
-        bc1 = 1.0 - self.beta1**self.t
-        bc2 = 1.0 - self.beta2**self.t
+        bc1 = 1.0 - BETA1**self.t
+        bc2 = 1.0 - BETA2**self.t
         for i, ref in enumerate(self.refs):
             p = ref.get()
             g = grads.get(p)
@@ -101,12 +97,12 @@ class AdamW:
                 continue
             m = self._m[i]
             v = self._v[i]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * (g * g)
+            m *= BETA1
+            m += (1.0 - BETA1) * g
+            v *= BETA2
+            v += (1.0 - BETA2) * (g * g)
             m_hat = m / bc1
             v_hat = v / bc2
             lr = lr_for[ref.lr_key]
-            new = p.data - lr * (m_hat / (np.sqrt(v_hat) + self.eps) + self.weight_decay * p.data)
+            new = p.data - lr * (m_hat / (np.sqrt(v_hat) + EPS) + self.weight_decay * p.data)
             ref.set(Tensor(new, trainable=True, name=p.name, dtype=p.dtype))

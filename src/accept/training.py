@@ -8,6 +8,11 @@ through the identical loop for comparisons.
 
 The optimizer touches prompt parameters only.  Backbone tensors are
 read-only throughout, which the tests pin down by hashing.
+
+A prompt checkpoint holds factorized components only: per component a
+``<scpp|scap>_codebook`` and a ``<scpp|scap>_weights`` fragment (see
+checkpoint.py), whose manifests both carry K, t, r and positions, plus an
+optional history.json.  Loading refuses a fragment no component reads.
 """
 from __future__ import annotations
 
@@ -21,7 +26,7 @@ import numpy as np
 
 from . import tensor as T
 from .backbone import BackboneModel
-from .checkpoint import load_prompts, save_prompts
+from .checkpoint import CheckpointFormatError, read_fragment, write_fragment
 from .factorization import Codebook, InitError, PromptDims, WeightSet, compose, init_random
 from .metrics import METRIC_NAMES, metric as compute_metric
 from .optim import AdamW, ParamRef, TrainingError, warmup_lr
@@ -225,6 +230,10 @@ class PromptSet:
         for ref, leaf in zip(self.param_refs(), snap, strict=True):
             ref.set(leaf)
 
+    def factorized(self) -> bool:
+        """Whether every component is factorized, which a checkpoint needs."""
+        return all(isinstance(comp, FactorizedPrompt) for _, comp in self.components())
+
 
 # -- forward plumbing ----------------------------------------------------------
 
@@ -278,12 +287,15 @@ def _batch_loss(model: BackboneModel, prompts: PromptSet, examples, num_classes:
     return T.softmax_cross_entropy(logits, labels)
 
 
+# Examples per evaluation forward.
+EVAL_BATCH = 64
+
+
 def evaluate(
     model: BackboneModel,
     prompts: PromptSet,
     dataset: Dataset,
     metric_name: str = "accuracy",
-    batch_size: int = 64,
 ) -> float:
     """Metric of the current prompts over a whole dataset, deterministically.
 
@@ -293,8 +305,8 @@ def evaluate(
     _check_dims(model, prompts, metric_name, dataset)
     rows = [None if r is None else Tensor(r.data, dtype=r.dtype) for r in prompts.rows()]
     preds = []
-    for start in range(0, len(dataset), batch_size):
-        chunk = dataset.examples[start : start + batch_size]
+    for start in range(0, len(dataset), EVAL_BATCH):
+        chunk = dataset.examples[start : start + EVAL_BATCH]
         logits = model.logits([ex.tokens for ex in chunk], *rows)
         if dataset.num_classes == 1:
             preds.extend(np.asarray(logits.data).reshape(-1).tolist())
@@ -404,33 +416,39 @@ def apply_init(
         raise InitError(
             f"checkpoint {strategy.path} holds f32 prompts, model wants {np.dtype(dtype).name}"
         )
-    loaded = load_prompts(strategy.path, trainable=True)
-
-    def pick(label: str, dims: PromptDims | None):
+    loaded, _ = load_checkpoint(strategy.path)
+    picked = {"scpp": (dims_scpp, loaded.prepended), "scap": (dims_scap, loaded.added)}
+    for label, (dims, comp) in picked.items():
         if dims is None:
-            return None
-        pair = loaded.get(label)
-        if pair is None:
+            continue
+        if comp is None:
             raise InitError(f"checkpoint {strategy.path} has no {label} component")
-        comp = FactorizedPrompt(*pair)
         got = PromptDims(positions=comp.positions, d=comp.d, K=comp.codebook.K, r=comp.codebook.r)
         if got != dims:
             raise InitError(f"{label} checkpoint dims {got} do not match configured {dims}")
-        return comp
-
-    return PromptSet(prepended=pick("scpp", dims_scpp), added=pick("scap", dims_scap))
+    return PromptSet(
+        prepended=loaded.prepended if dims_scpp is not None else None,
+        added=loaded.added if dims_scap is not None else None,
+    )
 
 
 # -- persistence --------------------------------------------------------------------
 
 
+_DIMS = ("K", "t", "r", "positions")
+
+
 def save_checkpoint(dirpath, prompts: PromptSet, history: RunHistory | None = None) -> None:
-    """Write factorized prompt components (and optionally the history)."""
+    """Write each component's codebook and weights fragments (and optionally the history)."""
+    if not prompts.factorized():
+        raise ContractError("only factorized prompts persist; this set has a direct component")
     for key, comp in prompts.components():
-        if not isinstance(comp, FactorizedPrompt):
-            raise ContractError(f"only factorized prompts persist; {key} is direct")
-    pairs = {key: (comp.codebook, comp.weights) for key, comp in prompts.components()}
-    save_prompts(dirpath, scpp=pairs.get("scpp"), scap=pairs.get("scap"))
+        cb = comp.codebook
+        dims = dict(zip(_DIMS, (cb.K, cb.t, cb.r, comp.positions)))
+        write_fragment(dirpath, f"{key}_codebook", {"kind": "codebook", **dims}, cb.entries.data)
+        write_fragment(
+            dirpath, f"{key}_weights", {"kind": "weights", **dims}, comp.weights.entries.data
+        )
     if history is not None:
         payload = {
             "records": [dataclasses.asdict(r) for r in history.records],
@@ -441,18 +459,49 @@ def save_checkpoint(dirpath, prompts: PromptSet, history: RunHistory | None = No
         )
 
 
-def load_checkpoint(dirpath, trainable: bool = True) -> tuple[PromptSet, RunHistory | None]:
-    """Read prompts (and history, when present) written by save_checkpoint."""
-    loaded = load_prompts(dirpath, trainable=trainable)
-    prepended = FactorizedPrompt(*loaded["scpp"]) if loaded.get("scpp") else None
-    added = FactorizedPrompt(*loaded["scap"]) if loaded.get("scap") else None
-    prompts = PromptSet(prepended=prepended, added=added)
+def _load_component(d: Path, key: str) -> FactorizedPrompt | None:
+    cpath = d / f"{key}_codebook.json"
+    if not cpath.exists():
+        return None
+    cm = json.loads(cpath.read_text(encoding="utf-8"))
+    for dim in _DIMS:
+        if not isinstance(cm.get(dim), int):
+            raise CheckpointFormatError(f"{key}_codebook manifest: missing integer field {dim!r}")
+    K, t, r, positions = (cm[dim] for dim in _DIMS)
+    _, c_arr = read_fragment(d, f"{key}_codebook", (K, r, t))
+    wm, w_arr = read_fragment(d, f"{key}_weights", (positions, K, r))
+    for dim in _DIMS:
+        if wm.get(dim) != cm[dim]:
+            raise CheckpointFormatError(
+                f"{key}: codebook and weights manifests disagree on {dim!r} "
+                f"({cm[dim]} vs {wm.get(dim)})"
+            )
+    return FactorizedPrompt(
+        Codebook(Tensor(c_arr, trainable=True, name=f"{key}_codebook")),
+        WeightSet(Tensor(w_arr, trainable=True, name=f"{key}_weights")),
+    )
+
+
+def load_checkpoint(dirpath) -> tuple[PromptSet, RunHistory | None]:
+    """Read prompts (and history, when present) written by save_checkpoint.
+
+    Refuses a directory with no prompt fragments, or with a fragment that
+    no component reads.
+    """
+    d = Path(dirpath)
+    comps = {key: _load_component(d, key) for key in ("scpp", "scap")}
+    read = {f"{key}_{part}" for key, c in comps.items() if c for part in ("codebook", "weights")}
+    stray = sorted({f.stem for f in d.glob("*.bin")} - read)
+    if stray:
+        raise CheckpointFormatError(f"{d} holds fragments no prompt component reads: {stray}")
+    if not any(comps.values()):
+        raise CheckpointFormatError(f"no prompt fragments found under {d}")
     history = None
-    hpath = Path(dirpath, "history.json")
+    hpath = d / "history.json"
     if hpath.exists():
         payload = json.loads(hpath.read_text(encoding="utf-8"))
         history = RunHistory(
             records=[EvalRecord(**r) for r in payload["records"]],
             best=BestRecord(**payload["best"]) if payload["best"] else None,
         )
-    return prompts, history
+    return PromptSet(prepended=comps["scpp"], added=comps["scap"]), history

@@ -400,6 +400,20 @@ def test_eval_accepts_inline_dataset(tmp_path, tiny_backbone_dir, capsys):
     assert main(["eval", "--run-dir", str(rd), "--dataset", ds]) == 0
 
 
+def test_eval_refuses_a_best_checkpoint_with_a_fragment_no_component_reads(
+    tmp_path, tiny_backbone_dir, capsys
+):
+    spec = base_config(tiny_backbone_dir, scap={"K": 2, "budget": 64})
+    assert main(["train", write_config(tmp_path, spec), "--runs-dir", str(tmp_path / "runs")]) == 0
+    rd = next((tmp_path / "runs").iterdir())
+    (rd / "best" / "scpp_codebook.json").unlink()
+    capsys.readouterr()
+    assert main(["eval", "--run-dir", str(rd)]) == 1
+    captured = capsys.readouterr()
+    assert "['scpp_codebook', 'scpp_weights']" in captured.err
+    assert captured.out == ""
+
+
 def test_eval_refuses_a_different_backbone(tmp_path, tiny_backbone_dir, capsys):
     cfg = write_config(tmp_path, base_config(tiny_backbone_dir))
     assert main(["train", cfg, "--runs-dir", str(tmp_path / "runs")]) == 0

@@ -16,6 +16,7 @@ from accept.factorization import (
 from accept.optim import AdamW, TrainingError, warmup_decay_lr, warmup_lr
 from accept.tasks import gen_task
 from accept.training import (
+    EVAL_BATCH,
     BestRecord,
     ContractError,
     DirectPrompt,
@@ -437,7 +438,7 @@ def test_evaluate_is_deterministic():
 def test_evaluate_builds_no_graph_and_matches_the_trainable_forward(monkeypatch):
     model = frozen_model()
     prompts = fresh_prompts()
-    data = tiny_task(seed=3, n=40)
+    data = tiny_task(seed=3, n=2 * EVAL_BATCH + 2)  # two full batches and a short one
     outputs = []
     forward = BackboneModel.forward
 
@@ -447,13 +448,13 @@ def test_evaluate_builds_no_graph_and_matches_the_trainable_forward(monkeypatch)
         return out
 
     monkeypatch.setattr(BackboneModel, "forward", recording_forward)
-    evaluate(model, prompts, data, batch_size=16)
+    evaluate(model, prompts, data)
     monkeypatch.undo()
 
     assert len(outputs) == 3
-    for start, logits in zip(range(0, len(data), 16), outputs):
+    for start, logits in zip(range(0, len(data), EVAL_BATCH), outputs):
         assert logits.needs_grad is False and logits._parents == ()
-        chunk = data.examples[start : start + 16]
+        chunk = data.examples[start : start + EVAL_BATCH]
         with_tape = model.logits([ex.tokens for ex in chunk], *prompts.rows())
         assert with_tape.needs_grad
         assert logits.data.tobytes() == with_tape.data.tobytes()
