@@ -62,9 +62,9 @@ _DTYPES = {"f32": np.float32, "f64": np.float64}
 # underflows to exactly 0.0 after the softmax max-shift in both dtypes.
 _MASK_BIAS = -1e9
 
-# A tape-free forward runs its blocks as one contiguous batch chunk per CPU
-# this process may use: the first on the calling thread, the rest on a
-# thread pool made at first use.
+# A tape-free forward runs its blocks on one worker per CPU this process may
+# use: the first is the calling thread, the rest come from a thread pool
+# made at first use.
 _WORKERS = (
     len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count() or 1
 )
@@ -75,6 +75,11 @@ _WORKERS = (
 # chunks lose because the threads hand the GIL back and forth between
 # short ops; at s=16 two threads spend about 30% more CPU time than one.
 _SPLIT_MIN_ROWS = 512
+# Most rows a tape-free chunk may hold, unless one example alone is longer.
+# Each worker runs its chunks one after another, so at most _WORKERS chunks'
+# activations are live at once.  Traced peak of one 64-example m=64 (s=76)
+# forward on 2 workers: 13.1-15.2 MB as two chunks, 8.4-9.0 MB as four.
+_CHUNK_MAX_ROWS = 2048
 _pool = None  # (pid, executor) of the process that made it
 _pool_lock = threading.Lock()
 
@@ -372,15 +377,22 @@ class BackboneModel:
         real token rows fails before any block runs.
 
         A forward that builds no graph (no input row and no parameter
-        needs a gradient) runs its blocks on one contiguous chunk of the
-        batch per CPU the process may use, all but the first on pool
-        threads, once a chunk holds at least ``_SPLIT_MIN_ROWS`` rows.
-        Every block op is per example and each chunk keeps the batch's
-        padded width, so the logits are the same bits at any chunk count.
-        A NonFiniteError in any chunk re-runs the whole batch's blocks, so
-        it names the same layer and op as the serial pass.  In such a
-        forward each block drops every intermediate at its last read, so
-        numpy frees it there rather than at the block's end.
+        needs a gradient) runs its blocks on contiguous chunks of the batch
+        of at most ``_CHUNK_MAX_ROWS`` rows (B * s) each, unless one
+        example alone is longer.  Once a chunk would hold at least
+        ``_SPLIT_MIN_ROWS`` rows it uses one worker per CPU the process may
+        use: the calling thread and pool threads.  The chunk count is then
+        a multiple of the worker count, short of it only when the batch has
+        fewer examples, and worker w runs chunks w, w + W, ... in turn, so
+        no more than W chunks are live at once.  Every block op is per
+        example and each chunk keeps the batch's padded width, so the
+        logits are the same bits at any chunk count.  A NonFiniteError in
+        any chunk re-runs the whole batch's blocks, so it names the same
+        layer and op as the serial pass.  In such a forward the attention
+        scores and the MLP hidden rows are computed in arrays their fused
+        op owns (``T.attention``, ``T.linear_gelu``), and each block drops
+        every intermediate at its last read, so numpy frees it there rather
+        than at the block's end.
         """
         cfg = self.config
         vals = assembled.values
@@ -400,11 +412,10 @@ class BackboneModel:
         # Additive key mask, (B, 1, 1, s), broadcast over heads and queries.
         bias = np.where(mask, 0.0, _MASK_BIAS).astype(cfg.np_dtype)[:, None, None, :]
 
-        chunks = min(_WORKERS, bsz, bsz * s // _SPLIT_MIN_ROWS)
-        if chunks < 2 or x.needs_grad or not self.frozen:
+        if x.needs_grad or not self.frozen:
             x = self._blocks(x, bias, m)
         else:
-            x = self._split_blocks(x, bias, m, chunks)
+            x = self._split_blocks(x, bias, m)
         x = T.layer_norm(x, self.params["lnf.g"], self.params["lnf.b"])
         pooled = T.masked_mean_rows(x, pool_mask)
         return T.matmul(pooled, self.params["head.w"], self.params["head.b"])
@@ -419,21 +430,31 @@ class BackboneModel:
                 raise T.NonFiniteError(f"layer {i}: {err}") from None
         return x
 
-    def _split_blocks(self, x: Tensor, bias: np.ndarray, m: int, chunks: int) -> Tensor:
-        """_blocks of a graph-free x: the first batch chunk here, the rest on the pool."""
-        bounds = [x.shape[0] * j // chunks for j in range(chunks + 1)]
+    def _split_blocks(self, x: Tensor, bias: np.ndarray, m: int) -> Tensor:
+        """_blocks of a graph-free x, chunk by chunk on each worker; see forward."""
+        bsz, s, _ = x.shape
+        workers = max(1, min(_WORKERS, bsz, bsz * s // _SPLIT_MIN_ROWS))
+        rounds = -(-bsz // (max(1, _CHUNK_MAX_ROWS // s) * workers))
+        chunks = min(bsz, workers * rounds)
+        if chunks == 1:
+            return self._blocks(x, bias, m)
+        bounds = [bsz * j // chunks for j in range(chunks + 1)]
         parts = [
             (T.make_op(x.data[a:b], (), None, "rows"), bias[a:b])
             for a, b in zip(bounds, bounds[1:])
         ]
-        pool = _thread_pool()
-        # Each chunk runs in a copy of this context, so np.errstate holds there too.
-        futures = [
-            pool.submit(contextvars.copy_context().run, self._blocks, xs, bs, m)
-            for xs, bs in parts[1:]
-        ]
+
+        def run(w: int) -> list[Tensor]:
+            return [self._blocks(xs, bs, m) for xs, bs in parts[w::workers]]
+
+        pool = _thread_pool() if workers > 1 else None
+        # Each worker runs in a copy of this context, so np.errstate holds there too.
+        futures = [pool.submit(contextvars.copy_context().run, run, w) for w in range(1, workers)]
+        outs: list = [None] * chunks
         try:
-            outs = [self._blocks(*parts[0], m)] + [f.result() for f in futures]
+            outs[0::workers] = run(0)
+            for w, f in enumerate(futures, start=1):
+                outs[w::workers] = f.result()
         except T.NonFiniteError:
             # Another chunk may fail at an earlier op; the whole batch names it.
             for f in futures:
@@ -466,17 +487,14 @@ class BackboneModel:
         # numpy frees it there; a graph-building forward's backward closures
         # keep it either way.
         del rows, pre
-        probs = T.matmul(q, T.transpose(k, (0, 1, 3, 2)))
-        del q, k
-        probs = T.softmax(probs, bias, 1.0 / np.sqrt(hd))
-        ctx = T.reshape(T.transpose(T.matmul(probs, v), (0, 2, 1, 3)), x.shape)
-        del probs, v
+        ctx = T.attention(q, k, v, bias, 1.0 / np.sqrt(hd))
+        del q, k, v
+        ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), x.shape)
         x = T.add(x, T.matmul(ctx, p[f"layer{i}.attn.wo"], p[f"layer{i}.attn.bo"]))
         del ctx
 
         h = T.layer_norm(x, p[f"layer{i}.ln2.g"], p[f"layer{i}.ln2.b"])
-        h = T.matmul(h, p[f"layer{i}.ffn.w1"], p[f"layer{i}.ffn.b1"])
-        h = T.gelu(h)
+        h = T.linear_gelu(h, p[f"layer{i}.ffn.w1"], p[f"layer{i}.ffn.b1"])
         return T.add(x, T.matmul(h, p[f"layer{i}.ffn.w2"], p[f"layer{i}.ffn.b2"]))
 
     # -- persistence ---------------------------------------------------------

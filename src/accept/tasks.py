@@ -269,8 +269,10 @@ def load_jsonl(
 ) -> Dataset:
     """Load {"tokens": [...], "label": ...} records, one JSON object per line.
 
-    Labels must all be integers (classification) or all be floats
-    (regression).  Errors name the offending 1-based line number.
+    Tokens must be a non-empty list of ints: an example with no token rows
+    has nothing to pool.  Labels must all be integers (classification) or
+    all be floats (regression).  Errors name the offending 1-based line
+    number.
     """
     path = Path(path)
     examples = []
@@ -293,6 +295,8 @@ def load_jsonl(
                 isinstance(v, int) and not isinstance(v, bool) for v in toks
             ):
                 raise DatasetError(f"{path.name} line {lineno}: tokens must be a list of ints")
+            if not toks:
+                raise DatasetError(f"{path.name} line {lineno}: tokens must not be empty")
             label = rec["label"]
             if isinstance(label, bool) or not isinstance(label, (int, float)):
                 raise DatasetError(f"{path.name} line {lineno}: label must be a number")

@@ -12,6 +12,14 @@ op that produced it rather than three layers downstream.  Inside
 output; a non-finite result re-runs the block with every op checking, so
 the error still names the op that produced it.
 
+Two fused ops serve the transformer block: ``attention`` and
+``linear_gelu``.  When no input needs a gradient, each computes into an
+array it allocated itself and runs the softmax or gelu chain in place on
+it, with the float ops of the unfused composition in the same order: the
+(B, H, s, s) attention scores and the (B, s, 4d) MLP hidden rows exist
+once, not twice.  Otherwise they call ``matmul``, ``transpose``,
+``softmax`` and ``gelu``, so a graph is the one those ops build.
+
 Importing this module asks glibc's malloc to keep freed memory: arrays up
 to 32 MiB come from the heap, not a fresh ``mmap``, and the heap is only
 trimmed once 1 GiB of it is free.  A forward pass frees and reallocates
@@ -40,6 +48,8 @@ __all__ = [
     "make_op",
     "checked_block",
     "matmul",
+    "attention",
+    "linear_gelu",
     "add",
     "scale",
     "gelu",
@@ -104,6 +114,12 @@ def _check_finite(arr: np.ndarray, op: str) -> None:
 _deferred = contextvars.ContextVar("deferred_checks", default=False)
 
 
+def _check_output(arr: np.ndarray, op: str) -> None:
+    """An op's output check, skipped during checked_block's deferred pass."""
+    if not _deferred.get():
+        _check_finite(arr, op)
+
+
 def checked_block(fn, *args) -> "Tensor":
     """Run ``fn(*args)`` with one finite check of its output, not one per op.
 
@@ -153,8 +169,7 @@ class Tensor:
     def _wrap(cls, data: np.ndarray, parents: tuple["Tensor", ...], backward_fn, name: str) -> "Tensor":
         # Internal constructor for op outputs: takes `data` as is, no copy.
         arr = np.asarray(data)
-        if not _deferred.get():
-            _check_finite(arr, name)
+        _check_output(arr, name)
         arr.flags.writeable = False
         obj = cls.__new__(cls)
         obj.data = arr
@@ -226,17 +241,8 @@ def _join_dtype(a: Tensor, b: Tensor, op: str) -> np.dtype:
 # primitives
 
 
-def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
-    """Matrix product with the two supported layouts, plus an optional bias.
-
-    Either ``b`` is a plain 2-D weight matrix applied to the trailing axis
-    of ``a``, or ``a`` and ``b`` share identical leading (batch) dims.
-    ``bias`` is a 1-D vector over the output's last axis, added in place
-    into the product: the same float ops as ``a @ b + bias`` without a
-    second output array.
-    """
-    _require_tensor(a, "matmul")
-    _require_tensor(b, "matmul")
+def _product(a: np.ndarray, b: np.ndarray, bias: np.ndarray | None = None) -> np.ndarray:
+    """``a @ b``, plus ``bias`` added in place, into a fresh array; see matmul."""
     _join_dtype(a, b, "matmul")
     if a.ndim < 2 or b.ndim < 2:
         raise ShapeError(f"matmul: operands must be at least 2-D, got {a.shape} @ {b.shape}")
@@ -248,17 +254,33 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
             raise ShapeError(f"matmul: inner dims differ, {a.shape} @ {b.shape}")
     else:
         raise ShapeError(f"matmul: unsupported operand layout, {a.shape} @ {b.shape}")
-    n = b.shape[-1]
+    if bias is not None:
+        _join_dtype(a, bias, "matmul")
+        if bias.shape != (b.shape[-1],):
+            raise ShapeError(f"matmul: bias must be shape ({b.shape[-1]},), got {bias.shape}")
+    out = a @ b
+    if bias is not None:
+        out += bias
+    return out
+
+
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """Matrix product with the two supported layouts, plus an optional bias.
+
+    Either ``b`` is a plain 2-D weight matrix applied to the trailing axis
+    of ``a``, or ``a`` and ``b`` share identical leading (batch) dims.
+    ``bias`` is a 1-D vector over the output's last axis, added in place
+    into the product: the same float ops as ``a @ b + bias`` without a
+    second output array.
+    """
+    _require_tensor(a, "matmul")
+    _require_tensor(b, "matmul")
     parents = (a, b)
     if bias is not None:
         _require_tensor(bias, "matmul")
-        _join_dtype(a, bias, "matmul")
-        if bias.shape != (n,):
-            raise ShapeError(f"matmul: bias must be shape ({n},), got {bias.shape}")
         parents = (a, b, bias)
-    out = a.data @ b.data
-    if bias is not None:
-        out += bias.data
+    out = _product(a.data, b.data, None if bias is None else bias.data)
+    n = b.shape[-1]
 
     def backward_fn(g: np.ndarray):
         ga = gb = None
@@ -276,6 +298,51 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         return ga, gb, gbias
 
     return Tensor._wrap(out, parents, backward_fn, "matmul")
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, bias, scale: float) -> Tensor:
+    """``softmax(q @ kᵀ * scale + bias) @ v`` over the last two axes.
+
+    ``q`` is (..., sq, e), ``k`` and ``v`` are (..., s, e) with the same
+    leading dims; ``bias`` and ``scale`` are softmax's.  When an input
+    needs a gradient this is exactly that composition of ``matmul``,
+    ``transpose`` and ``softmax``.  Otherwise the scores are computed into
+    one array and the softmax runs in place on it, with the same checks
+    and error names as the composition.
+    """
+    for t in (q, k, v):
+        _require_tensor(t, "attention")
+    axes = (*range(k.ndim - 2), k.ndim - 1, k.ndim - 2)
+    if q.needs_grad or k.needs_grad or v.needs_grad:
+        return matmul(softmax(matmul(q, transpose(k, axes)), bias, scale), v)
+    scores = _product(q.data, np.transpose(k.data, axes))
+    _check_output(scores, "matmul")
+    _softmax_chain(scores, bias, float(scale), out=scores)
+    _check_output(scores, "softmax")
+    # Named for the product that made it, as the composition's last node is.
+    return Tensor._wrap(_product(scores, v.data), (q, k, v), None, "matmul")
+
+
+def linear_gelu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """``gelu(x @ w + b)`` for a 2-D weight ``w`` and bias vector ``b``.
+
+    When an input needs a gradient this is exactly ``gelu(matmul(x, w,
+    b))``.  Otherwise gelu runs in place on the product's own array, with
+    the float ops of ``gelu`` in the same order and the same checks and
+    error names as the composition: two (..., n) arrays at once, not three.
+    """
+    for t in (x, w, b):
+        _require_tensor(t, "linear_gelu")
+    if x.needs_grad or w.needs_grad or b.needs_grad:
+        return gelu(matmul(x, w, b))
+    h = _product(x.data, w.data, b.data)
+    _check_output(h, "matmul")
+    th = _gelu_tanh(h)
+    # h = 0.5 * h * (1.0 + th); no backward reads th, so 1.0 + th goes in its buffer.
+    h *= 0.5
+    th += 1.0
+    h *= th
+    return Tensor._wrap(h, (x, w, b), None, "gelu")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -317,6 +384,17 @@ _GELU_K = 0.7978845608028654  # sqrt(2/pi)
 _GELU_C = 0.044715
 
 
+def _gelu_tanh(x: np.ndarray) -> np.ndarray:
+    """th = tanh(K * (x + C * (x * x * x))), in one fresh array."""
+    th = x * x
+    th *= x
+    th *= _GELU_C
+    th += x
+    th *= _GELU_K
+    np.tanh(th, out=th)
+    return th
+
+
 def gelu(a: Tensor) -> Tensor:
     """Gaussian error linear unit, tanh approximation.
 
@@ -325,26 +403,16 @@ def gelu(a: Tensor) -> Tensor:
     are written as products: on float32 arrays numpy's generic float power
     (``x**3``) is about 100x slower than two multiplies.  Both passes run
     their chains in place, in the float-op order of the formulas in the
-    comments, so each keeps two or three temporaries instead of ten.  An
-    input that needs no gradient has no backward to read ``th``, so the
-    forward forms ``1.0 + th`` in ``th``'s own buffer.
+    comments, so each keeps two or three temporaries instead of ten.  A
+    forward with no graph to build goes through ``linear_gelu``, which
+    runs the same chain in place on its own product.
     """
     _require_tensor(a, "gelu")
     x = a.data
-    # th = tanh(K * (x + C * (x * x * x)))
-    th = x * x
-    th *= x
-    th *= _GELU_C
-    th += x
-    th *= _GELU_K
-    np.tanh(th, out=th)
+    th = _gelu_tanh(x)
     # out = 0.5 * x * (1.0 + th)
     out = x * 0.5
-    if a.needs_grad:
-        out *= th + 1.0
-    else:
-        th += 1.0
-        out *= th
+    out *= th + 1.0
 
     def backward_fn(g: np.ndarray):
         # du = K * (1.0 + 3.0 * C * (x * x))
@@ -366,25 +434,19 @@ def gelu(a: Tensor) -> Tensor:
     return Tensor._wrap(out, (a,), backward_fn, "gelu")
 
 
-def softmax(a: Tensor, bias=None, scale: float = 1.0) -> Tensor:
-    """Numerically stable softmax over the last axis of ``a * scale + bias``.
+def _softmax_chain(x: np.ndarray, bias, scale: float, out: np.ndarray | None = None) -> np.ndarray:
+    """softmax(x * scale + bias) over the last axis into ``out`` (which may be ``x``).
 
-    ``bias`` is an optional constant numpy array (no gradient) that
-    broadcasts to ``a.shape``, such as an additive (B, 1, 1, s) key mask.
-    Scaling, the bias, the max shift, ``exp`` and the division all run in
-    place on one array: each (B, H, s, s) temporary would cost a fresh
-    allocation and a memory pass.  The scaled input is checked even inside
-    ``checked_block``: a -inf entry maps to a finite probability of 0 and
-    would pass the block's output check.
+    The scaled input is checked even inside ``checked_block``: a -inf
+    entry maps to a finite probability of 0 and would pass the block's
+    output check.
     """
-    _require_tensor(a, "softmax")
-    scale = float(scale)
     if bias is not None:
-        bias = np.asarray(bias, dtype=a.dtype)
-        pairs = zip(reversed(bias.shape), reversed(a.shape))
-        if bias.ndim > a.ndim or any(k not in (1, n) for k, n in pairs):
-            raise ShapeError(f"softmax: bias {bias.shape} does not broadcast to {a.shape}")
-    out = a.data * scale
+        bias = np.asarray(bias, dtype=x.dtype)
+        pairs = zip(reversed(bias.shape), reversed(x.shape))
+        if bias.ndim > x.ndim or any(k not in (1, n) for k, n in pairs):
+            raise ShapeError(f"softmax: bias {bias.shape} does not broadcast to {x.shape}")
+    out = np.multiply(x, scale, out=out)
     if not np.all(np.isfinite(out)):
         raise NonFiniteError("softmax: input has non-finite values")
     if bias is not None:
@@ -392,6 +454,21 @@ def softmax(a: Tensor, bias=None, scale: float = 1.0) -> Tensor:
     out -= out.max(axis=-1, keepdims=True)
     np.exp(out, out=out)
     out /= out.sum(axis=-1, keepdims=True)
+    return out
+
+
+def softmax(a: Tensor, bias=None, scale: float = 1.0) -> Tensor:
+    """Numerically stable softmax over the last axis of ``a * scale + bias``.
+
+    ``bias`` is an optional constant numpy array (no gradient) that
+    broadcasts to ``a.shape``, such as an additive (B, 1, 1, s) key mask.
+    Scaling, the bias, the max shift, ``exp`` and the division all run in
+    place on one array: each (B, H, s, s) temporary would cost a fresh
+    allocation and a memory pass.
+    """
+    _require_tensor(a, "softmax")
+    scale = float(scale)
+    out = _softmax_chain(a.data, bias, scale)
 
     def backward_fn(g: np.ndarray):
         dot = (g * out).sum(axis=-1, keepdims=True)

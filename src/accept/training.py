@@ -485,8 +485,9 @@ def _load_component(d: Path, key: str) -> FactorizedPrompt | None:
 def load_checkpoint(dirpath) -> tuple[PromptSet, RunHistory | None]:
     """Read prompts (and history, when present) written by save_checkpoint.
 
-    Refuses a directory with no prompt fragments, or with a fragment that
-    no component reads.
+    Refuses a directory with no prompt fragments, with a fragment that no
+    component reads, or with a history.json that is not the records and
+    best entry save_checkpoint writes.
     """
     d = Path(dirpath)
     comps = {key: _load_component(d, key) for key in ("scpp", "scap")}
@@ -499,9 +500,12 @@ def load_checkpoint(dirpath) -> tuple[PromptSet, RunHistory | None]:
     history = None
     hpath = d / "history.json"
     if hpath.exists():
-        payload = json.loads(hpath.read_text(encoding="utf-8"))
-        history = RunHistory(
-            records=[EvalRecord(**r) for r in payload["records"]],
-            best=BestRecord(**payload["best"]) if payload["best"] else None,
-        )
+        try:
+            payload = json.loads(hpath.read_text(encoding="utf-8"))
+            history = RunHistory(
+                records=[EvalRecord(**r) for r in payload["records"]],
+                best=BestRecord(**payload["best"]) if payload["best"] else None,
+            )
+        except (ValueError, KeyError, TypeError) as err:
+            raise CheckpointFormatError(f"{hpath}: malformed history ({err!r})") from None
     return PromptSet(prepended=comps["scpp"], added=comps["scap"]), history

@@ -278,6 +278,19 @@ def record_softmax_inputs(monkeypatch) -> list:
     return shapes
 
 
+def record_attention_scores(monkeypatch) -> list:
+    """Patch T.attention to log the (..., query rows, key rows) shape of its scores."""
+    shapes = []
+    attention = T.attention
+
+    def recording(q, k, *args, **kwargs):
+        shapes.append(q.shape[:-1] + k.shape[-2:-1])
+        return attention(q, k, *args, **kwargs)
+
+    monkeypatch.setattr(T, "attention", recording)
+    return shapes
+
+
 def full_rows_logits(model, toks, prompt, added):
     """Reference forward: every block on all m + L rows, then pool token rows.
 
@@ -354,10 +367,11 @@ def test_last_block_query_pruning_matches_full_rows(m, monkeypatch):
 
 
 def test_last_block_softmax_sees_only_token_queries(monkeypatch):
+    # A tape-free forward: the softmax runs inside the fused attention op.
     cfg = BackboneConfig(layers=3)
     model = BackboneModel.random_init(cfg, seed=0)
     model.freeze()
-    shapes = record_softmax_inputs(monkeypatch)
+    shapes = record_attention_scores(monkeypatch)
     prompt = T.Tensor(np.zeros((16, cfg.d)), dtype=cfg.np_dtype)
     model.logits([[5, 6, 7], [8, 9, 10, 11, 12]], prompt=prompt)
     h, s = cfg.heads, 16 + 5
@@ -433,12 +447,45 @@ def test_split_forward_names_the_serial_error(monkeypatch, workers):
     assert str(split.value) == str(serial.value)
 
 
-def test_tape_free_block_frees_each_intermediate_at_its_last_read(monkeypatch):
-    # At m=64 (s=76) one batch holds 37 MB of traced arrays at once when
-    # the block keeps its dead locals and gelu a fresh 1.0 + th; 19 MB without.
+# 12 examples of up to 7 tokens under a 3-row prompt: s = 10, 120 rows.
+LONG = [[5 + (3 * b + j) % 20 for j in range(1 + b % 7)] for b in range(12)]
+
+
+@pytest.mark.parametrize("workers", [1, 2, 3])
+@pytest.mark.parametrize("cap", [30, 50, 7])  # 3 or 5 examples a chunk, or one longer than the cap
+def test_split_forward_bounds_the_rows_of_a_chunk(monkeypatch, workers, cap):
     import accept.backbone as B
 
-    monkeypatch.setattr(B, "_WORKERS", 1)
+    cfg = BackboneConfig()
+    model = BackboneModel.random_init(cfg, seed=0)
+    model.freeze()
+    P = T.Tensor(np.random.default_rng(5).normal(0.0, 0.1, size=(3, cfg.d)), dtype=cfg.np_dtype)
+    e, mask = model.embed_batch(LONG)
+    rows = e.data.copy()
+    rows[7, 2] = 3e38  # overflows inside example 7's first block only
+    bad = model.assemble_input(T.Tensor(rows), mask, prompt=P)
+    with np.errstate(all="ignore"), pytest.raises(T.NonFiniteError) as serial:
+        model.forward(bad)
+    one_chunk = model.logits(LONG, prompt=P).data.tobytes()  # too few rows to split
+
+    monkeypatch.setattr(B, "_CHUNK_MAX_ROWS", cap)
+    sizes = split_forward(monkeypatch, workers)
+    assert model.logits(LONG, prompt=P).data.tobytes() == one_chunk
+    s = 3 + 7
+    assert len(sizes) % workers == 0 and len(sizes) > 1 and sum(sizes) == len(LONG)
+    assert all(n * s <= cap or n == 1 for n in sizes)
+    sizes.clear()
+    with np.errstate(all="ignore"), pytest.raises(T.NonFiniteError) as split:
+        model.forward(bad)
+    assert len(sizes) > 1
+    assert str(split.value) == str(serial.value) == "layer 0: layer_norm: produced non-finite values"
+
+
+def tape_free_peak(monkeypatch, workers: int) -> int:
+    """Traced peak bytes of one 64-example m=64 (s=76) forward on `workers` workers."""
+    import accept.backbone as B
+
+    monkeypatch.setattr(B, "_WORKERS", workers)
     cfg = BackboneConfig()
     model = BackboneModel.random_init(cfg, seed=0)
     model.freeze()
@@ -450,10 +497,23 @@ def test_tape_free_block_frees_each_intermediate_at_its_last_read(monkeypatch):
     tracemalloc.start()
     try:
         model.logits(toks, prompt=P, added=Q)
-        peak = tracemalloc.get_traced_memory()[1]
+        return tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 24e6
+
+
+def test_tape_free_block_frees_each_intermediate_at_its_last_read(monkeypatch):
+    # One batch held 37 MB of traced arrays at once when the block kept its
+    # dead locals and gelu a fresh 1.0 + th, and 19 MB while softmax and
+    # gelu copied their inputs.  Fused ops that own their arrays, on chunks
+    # of at most 2048 rows run one after another, leave about 7 MB.
+    assert tape_free_peak(monkeypatch, 1) < 10e6
+
+
+def test_tape_free_chunks_on_two_workers_run_two_at_a_time(monkeypatch):
+    # Two chunks of 32 examples held 16.6-18.9 MB; four of 16, two at a
+    # time, hold 8-9 MB.
+    assert tape_free_peak(monkeypatch, 2) < 12e6
 
 
 _FORKED_SPLIT_FORWARD = """

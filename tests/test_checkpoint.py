@@ -113,6 +113,26 @@ def test_fragment_no_component_reads_rejected(tmp_path):
         load_checkpoint(tmp_path)
 
 
+@pytest.mark.parametrize(
+    "payload",
+    [
+        '{"best": null}',
+        '{"records": [{"step": 1}], "best": null}',
+        '{"records": [], "best": {"step": 1, "metric": 0.5, "checkpoint": "x"}}',
+        '{"records": 5, "best": null}',
+        "[]",
+        "not json",
+    ],
+    ids=["no-records", "record-fields", "best-fields", "records-not-a-list", "not-an-object",
+         "invalid-json"],
+)
+def test_malformed_history_rejected(tmp_path, payload):
+    save_checkpoint(tmp_path, PromptSet(prepended=make_comp(0)), RunHistory())
+    (tmp_path / "history.json").write_text(payload)
+    with pytest.raises(CheckpointFormatError, match="malformed history"):
+        load_checkpoint(tmp_path)
+
+
 def test_empty_dir_rejected(tmp_path):
     with pytest.raises(CheckpointFormatError):
         load_checkpoint(tmp_path)

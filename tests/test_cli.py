@@ -414,6 +414,22 @@ def test_eval_refuses_a_best_checkpoint_with_a_fragment_no_component_reads(
     assert captured.out == ""
 
 
+def test_eval_and_checkpoint_init_refuse_a_malformed_history(tmp_path, tiny_backbone_dir, capsys):
+    assert main(["train", write_config(tmp_path, base_config(tiny_backbone_dir)),
+                 "--runs-dir", str(tmp_path / "source")]) == 0
+    rd = next((tmp_path / "source").iterdir())
+    (rd / "best" / "history.json").write_text('{"best": null}')
+    capsys.readouterr()
+    assert main(["eval", "--run-dir", str(rd)]) == 1
+    captured = capsys.readouterr()
+    assert "malformed history" in captured.err and captured.out == ""
+    spec = base_config(tiny_backbone_dir, init={"kind": "checkpoint", "path": str(rd / "best")})
+    runs = tmp_path / "runs"
+    assert main(["train", write_config(tmp_path, spec, "warm.json"), "--runs-dir", str(runs)]) == 1
+    assert "malformed history" in capsys.readouterr().err
+    assert no_entries(runs)
+
+
 def test_eval_refuses_a_different_backbone(tmp_path, tiny_backbone_dir, capsys):
     cfg = write_config(tmp_path, base_config(tiny_backbone_dir))
     assert main(["train", cfg, "--runs-dir", str(tmp_path / "runs")]) == 0
@@ -1132,6 +1148,25 @@ def test_direct_prepend_trains_plain_prompt_rows(tmp_path, tiny_backbone_dir, ca
     assert summary["trainable_params"] == 48
     # Direct rows are a baseline device; no factorized checkpoint exists.
     assert not (rd / "best").exists()
+
+
+def test_train_refuses_a_jsonl_record_with_no_tokens_before_training(
+    tmp_path, tiny_backbone_dir, capsys, monkeypatch
+):
+    import accept.experiments as E
+
+    lines = ['{"tokens": [6, 7, 7], "label": 1}'] * 8
+    lines[2] = '{"tokens": [], "label": 1}'
+    data_path = tmp_path / "train.jsonl"
+    data_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    spec = base_config(tiny_backbone_dir)
+    spec["train_set"] = {"jsonl": str(data_path), "num_classes": 2, "vocab_size": 32}
+    calls = []
+    monkeypatch.setattr(E, "train", lambda *a, **k: calls.append(1))
+    runs = tmp_path / "runs"
+    assert main(["train", write_config(tmp_path, spec), "--runs-dir", str(runs)]) == 1
+    assert "train.jsonl line 3: tokens must not be empty" in capsys.readouterr().err
+    assert calls == [] and no_entries(runs)
 
 
 def test_direct_prepend_and_scpp_conflict(tmp_path, tiny_backbone_dir, capsys):

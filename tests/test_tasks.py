@@ -134,6 +134,13 @@ def test_jsonl_invalid_json_names_line(tmp_path):
     assert "line 2" in str(exc.value)
 
 
+def test_jsonl_empty_tokens_names_line(tmp_path):
+    p = tmp_path / "bad.jsonl"
+    p.write_text('{"tokens": [1, 2], "label": 0}\n{"tokens": [], "label": 1}\n')
+    with pytest.raises(K.DatasetError, match="line 2: tokens must not be empty"):
+        K.load_jsonl(p)
+
+
 def test_jsonl_vocab_check_names_line(tmp_path):
     p = tmp_path / "bad.jsonl"
     p.write_text('{"tokens": [40], "label": 0}\n')

@@ -462,20 +462,103 @@ def test_gelu_is_bitwise_the_written_out_formula(seed):
     local = 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th * th) * du
     assert out.data.tobytes() == ref.tobytes()
     assert ga.tobytes() == (g * local).tobytes()
-    # A constant input takes the no-gradient branch, which reuses th's buffer.
+    # A constant input gives the same bits, and so does the in-place chain.
     assert T.gelu(T.Tensor(x)).data.tobytes() == ref.tobytes()
+    eye = T.Tensor(np.eye(x.shape[-1], dtype=x.dtype))
+    zero = T.Tensor(np.zeros(x.shape[-1], dtype=x.dtype))
+    assert T.linear_gelu(T.Tensor(x), eye, zero).data.tobytes() == ref.tobytes()
 
 
 def test_gelu_without_gradient_holds_two_arrays_at_once():
-    x = T.Tensor(np.ones((64, 76, 256), dtype=np.float32))  # an eval-size MLP input
+    # An eval-size MLP layer: tape-free gelu runs inside linear_gelu.
+    x = T.Tensor(np.ones((64, 76, 64), dtype=np.float32))
+    w, b = T.Tensor(np.ones((64, 256), dtype=np.float32)), T.Tensor(np.ones(256, dtype=np.float32))
     tracemalloc.start()
     try:
-        T.gelu(x)
+        h = T.linear_gelu(x, w, b)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    # th and the output; a separate 1.0 + th would make three.
-    assert peak < 2.5 * x.data.nbytes
+    # The product, gelu'd in place, and th; a separate 1.0 + th or gelu
+    # output would make three.
+    assert peak < 2.5 * h.data.nbytes
+
+
+def composed_attention(q, k, v, bias, scale):
+    return T.matmul(T.softmax(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), bias, scale), v)
+
+
+def composed_linear_gelu(x, w, b):
+    return T.gelu(T.matmul(x, w, b))
+
+
+# The eval workload's (s, query rows) per block: pair-match (L = 7) and
+# majority (L = 12) under m = 4, 16, 64 prompt rows, every query row in the
+# first block and the L token rows in the last.
+EVAL_BLOCK_SHAPES = [(m + n, q) for n in (7, 12) for m in (4, 16, 64) for q in (m + n, n)]
+
+
+@pytest.mark.parametrize("s,rows,padded", [(s, q, False) for s, q in EVAL_BLOCK_SHAPES]
+                         + [(76, 12, True)])
+def test_fused_ops_without_gradient_are_the_composition_bits(s, rows, padded):
+    # The desk block at B = 64: d = 64, 4 heads of 16, MLP width 256, f32.
+    rng = np.random.default_rng(rows)
+    keep = np.ones((64, s), dtype=bool)
+    if padded:  # up to 8 padding rows per example, masked as keys
+        for b in range(64):
+            keep[b, s - b % 9 :] = False
+    bias = np.where(keep, 0.0, -1e9).astype(np.float32)[:, None, None, :]
+    q, k, v = (T.Tensor(0.5 * rng.normal(size=(64, 4, n, 16)), dtype=np.float32)
+               for n in (rows, s, s))
+    # The desk scale, and a numpy float64 one that rounds in float32.
+    for scale in (1.0 / np.sqrt(16), 1.0 / np.sqrt(8)):
+        fused = T.attention(q, k, v, bias, scale).data.tobytes()
+        assert fused == composed_attention(q, k, v, bias, scale).data.tobytes()
+    x = T.Tensor(rng.normal(size=(64, rows, 64)), dtype=np.float32)
+    w = T.Tensor(rng.normal(size=(64, 256)) / 8.0, dtype=np.float32)
+    b = T.Tensor(rng.normal(size=(256,)), dtype=np.float32)
+    assert T.linear_gelu(x, w, b).data.tobytes() == composed_linear_gelu(x, w, b).data.tobytes()
+
+
+@pytest.mark.parametrize("seed", range(2))
+def test_fused_ops_with_a_gradient_are_the_composition_graph(seed):
+    rng = np.random.default_rng(seed)
+    key_mask = np.where(rng.random((2, 6)) > 0.3, 0.0, -1e9).astype(np.float32)[:, None, None, :]
+    for fused_op, composed, shapes, args in (
+        (T.attention, composed_attention, [(2, 3, 4, 5), (2, 3, 6, 5), (2, 3, 6, 5)],
+         (key_mask, 1.0 / np.sqrt(12.0))),
+        (T.linear_gelu, composed_linear_gelu, [(2, 6, 5), (5, 7), (7,)], ()),
+    ):
+        leaves = f32_leaves(rng, *shapes)
+        fused = fused_op(*leaves, *args)
+        g = upstream(fused, seed)
+        again = [T.Tensor(t.data, trainable=True) for t in leaves]
+        split = composed(*again, *args)
+        assert fused.data.tobytes() == split.data.tobytes()
+        for ga, gb in zip(grads_under(fused, g, *leaves), grads_under(split, g, *again)):
+            assert ga.tobytes() == gb.tobytes()
+
+
+def test_fused_ops_name_the_composition_op_in_a_checked_block():
+    def t(value, shape):
+        return T.Tensor(np.full(shape, value), dtype=np.float32)
+
+    small, big, huge = (t(value, (1, 2, 3, 4)) for value in (0.5, 1e10, 1e30))
+    dead_row = np.full((1, 1, 1, 3), -np.inf)  # a query row with no finite score left
+    attention_calls = [
+        ((huge, huge, small, None, 1.0), "matmul: produced non-finite values"),
+        ((big, big, small, None, 1e30), "softmax: input has non-finite values"),
+        ((small, small, small, dead_row, 1.0), "softmax: produced non-finite values"),
+    ]
+    linear_args = (t(1e20, (2, 3, 4)), t(1e20, (4, 5)), t(0.0, (5,)))
+    calls = [(op, args, error) for args, error in attention_calls
+             for op in (T.attention, composed_attention)]
+    calls += [(op, linear_args, "matmul: produced non-finite values")
+              for op in (T.linear_gelu, composed_linear_gelu)]
+    for op, args, error in calls:
+        with np.errstate(all="ignore"), pytest.raises(T.NonFiniteError) as err:
+            T.checked_block(op, *args)
+        assert str(err.value) == error, op
 
 
 @pytest.mark.parametrize("seed", range(3))
