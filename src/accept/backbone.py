@@ -388,11 +388,9 @@ class BackboneModel:
         example and each chunk keeps the batch's padded width, so the
         logits are the same bits at any chunk count.  A NonFiniteError in
         any chunk re-runs the whole batch's blocks, so it names the same
-        layer and op as the serial pass.  In such a forward the attention
-        scores and the MLP hidden rows are computed in arrays their fused
-        op owns (``T.attention``, ``T.linear_gelu``), and each block drops
-        every intermediate at its last read, so numpy frees it there rather
-        than at the block's end.
+        layer and op as the serial pass.  In such a forward each block
+        drops every intermediate at its last read, so numpy frees it there
+        rather than at the block's end.
         """
         cfg = self.config
         vals = assembled.values
@@ -467,29 +465,23 @@ class BackboneModel:
         """One block over (B, s, d) rows; returns rows first_query..s-1 only."""
         cfg = self.config
         p = self.params
-        hd = cfg.head_dim
-        bsz, s, _ = x.shape
-
-        def heads(t: Tensor) -> Tensor:
-            return T.transpose(T.reshape(t, (bsz, t.shape[1], cfg.heads, hd)), (0, 2, 1, 3))
-
+        s = x.shape[1]
         pre = T.layer_norm(x, p[f"layer{i}.ln1.g"], p[f"layer{i}.ln1.b"])
         rows = pre
         if first_query:
             rows = T.slice_rows(pre, first_query, s)
             x = T.slice_rows(x, first_query, s)
-        q = heads(T.matmul(rows, p[f"layer{i}.attn.wq"], p[f"layer{i}.attn.bq"]))
+        q = T.matmul(rows, p[f"layer{i}.attn.wq"], p[f"layer{i}.attn.bq"])
         # No key bias: softmax cancels a constant added to all of a query's scores.
-        k = heads(T.matmul(pre, p[f"layer{i}.attn.wk"]))
-        v = heads(T.matmul(pre, p[f"layer{i}.attn.wv"], p[f"layer{i}.attn.bv"]))
+        k = T.matmul(pre, p[f"layer{i}.attn.wk"])
+        v = T.matmul(pre, p[f"layer{i}.attn.wv"], p[f"layer{i}.attn.bv"])
         # Each del or rebinding below drops a name at its last read.  In a
         # forward that builds no graph nothing else holds that array, so
         # numpy frees it there; a graph-building forward's backward closures
         # keep it either way.
         del rows, pre
-        ctx = T.attention(q, k, v, bias, 1.0 / np.sqrt(hd))
+        ctx = T.attention(q, k, v, cfg.heads, bias, 1.0 / np.sqrt(cfg.head_dim))
         del q, k, v
-        ctx = T.reshape(T.transpose(ctx, (0, 2, 1, 3)), x.shape)
         x = T.add(x, T.matmul(ctx, p[f"layer{i}.attn.wo"], p[f"layer{i}.attn.bo"]))
         del ctx
 

@@ -99,6 +99,10 @@ def _notes(notes: list[str]) -> None:
 
 def cmd_budget(args) -> int:
     validate_partition(args.d, args.K)
+    for flag, value, least in (("positions", args.positions, 0), ("budget", args.budget, 0),
+                               ("r", args.r, 1)):
+        if value is not None and value < least:
+            raise ConfigError(f"--{flag} must be >= {least}, got {value}")
     if args.r is not None:
         r = args.r
     else:
@@ -132,6 +136,14 @@ def cmd_train(args) -> int:
 
 
 def cmd_eval(args) -> int:
+    # Checked before the config resolves, which may pretrain a backbone.
+    dataset = None
+    if args.dataset:
+        try:
+            dataset_spec = json.loads(args.dataset)
+        except json.JSONDecodeError as err:
+            raise ConfigError(f"--dataset is not valid JSON: {err}") from None
+        dataset = parse_dataset(dataset_spec, "dataset", split="eval")
     run_dir = Path(args.run_dir)
     spec = load_config(run_dir / "config.json")
     # Evaluation never reads the init checkpoint, which may since have moved.
@@ -145,9 +157,7 @@ def cmd_eval(args) -> int:
     if trained_on != current:
         raise ConfigError(f"{run_dir} was trained on backbone {trained_on}, config gives {current}")
     prompts, _ = load_checkpoint(best_dir)
-    if args.dataset:
-        dataset = parse_dataset(json.loads(args.dataset), "dataset", split="eval")
-    else:
+    if dataset is None:
         dataset = resolved.eval_set
     score = evaluate(resolved.model, prompts, dataset, resolved.run_config.metric)
     print(f"{resolved.run_config.metric}={score!r}")

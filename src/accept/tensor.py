@@ -12,13 +12,12 @@ op that produced it rather than three layers downstream.  Inside
 output; a non-finite result re-runs the block with every op checking, so
 the error still names the op that produced it.
 
-Two fused ops serve the transformer block: ``attention`` and
-``linear_gelu``.  When no input needs a gradient, each computes into an
-array it allocated itself and runs the softmax or gelu chain in place on
-it, with the float ops of the unfused composition in the same order: the
-(B, H, s, s) attention scores and the (B, s, 4d) MLP hidden rows exist
-once, not twice.  Otherwise they call ``matmul``, ``transpose``,
-``softmax`` and ``gelu``, so a graph is the one those ops build.
+Two fused ops serve the transformer block, one graph node each:
+``attention`` over (B, s, d) rows and ``linear_gelu``.  Each computes
+into an array it allocated and runs the softmax or gelu chain in place on
+it.  Its backward replays the float ops of the composition of
+``reshape``, ``transpose``, ``matmul``, ``softmax`` and ``gelu`` on arrays
+of the same layouts, so values and gradients are that composition's bits.
 
 Importing this module asks glibc's malloc to keep freed memory: arrays up
 to 32 MiB come from the heap, not a fresh ``mmap``, and the heap is only
@@ -264,6 +263,24 @@ def _product(a: np.ndarray, b: np.ndarray, bias: np.ndarray | None = None) -> np
     return out
 
 
+def _product_grads(g: np.ndarray, a: np.ndarray, b: np.ndarray, need_a: bool, need_b: bool,
+                   need_bias: bool | None = None) -> tuple:
+    """Gradients of ``_product(a, b, bias)`` under ``g``; a bias's if need_bias is not None."""
+    ga = gb = None
+    n = b.shape[-1]
+    if need_a:
+        ga = g @ np.swapaxes(b, -1, -2)
+    if need_b:
+        if b.ndim == 2:
+            # Collapse leading dims: grad of a shared weight sums over them.
+            gb = a.reshape(-1, a.shape[-1]).T @ g.reshape(-1, n)
+        else:
+            gb = np.swapaxes(a, -1, -2) @ g
+    if need_bias is None:
+        return ga, gb
+    return ga, gb, (g.reshape(-1, n).sum(axis=0) if need_bias else None)
+
+
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     """Matrix product with the two supported layouts, plus an optional bias.
 
@@ -280,69 +297,90 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         _require_tensor(bias, "matmul")
         parents = (a, b, bias)
     out = _product(a.data, b.data, None if bias is None else bias.data)
-    n = b.shape[-1]
+    need_bias = None if bias is None else bias.needs_grad
 
     def backward_fn(g: np.ndarray):
-        ga = gb = None
-        if a.needs_grad:
-            ga = g @ np.swapaxes(b.data, -1, -2)
-        if b.needs_grad:
-            if b.ndim == 2:
-                # Collapse leading dims: grad of a shared weight sums over them.
-                gb = a.data.reshape(-1, a.shape[-1]).T @ g.reshape(-1, n)
-            else:
-                gb = np.swapaxes(a.data, -1, -2) @ g
-        if bias is None:
-            return ga, gb
-        gbias = g.reshape(-1, n).sum(axis=0) if bias.needs_grad else None
-        return ga, gb, gbias
+        return _product_grads(g, a.data, b.data, a.needs_grad, b.needs_grad, need_bias)
 
     return Tensor._wrap(out, parents, backward_fn, "matmul")
 
 
-def attention(q: Tensor, k: Tensor, v: Tensor, bias, scale: float) -> Tensor:
-    """``softmax(q @ kᵀ * scale + bias) @ v`` over the last two axes.
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int, bias, scale: float) -> Tensor:
+    """Multi-head ``softmax(q @ kᵀ * scale + bias) @ v``, heads split and merged inside.
 
-    ``q`` is (..., sq, e), ``k`` and ``v`` are (..., s, e) with the same
-    leading dims; ``bias`` and ``scale`` are softmax's.  When an input
-    needs a gradient this is exactly that composition of ``matmul``,
-    ``transpose`` and ``softmax``.  Otherwise the scores are computed into
-    one array and the softmax runs in place on it, with the same checks
-    and error names as the composition.
+    ``q`` is (B, sq, d) and ``k``, ``v`` are (B, s, d); ``bias`` and
+    ``scale`` are softmax's over the (B, heads, sq, s) scores, which are
+    computed into one array with the softmax run in place on it.  Returns
+    the (B, sq, d) context.  Values, gradients and error names are those of
+    the ``reshape``/``transpose``/``matmul``/``softmax`` composition.
     """
     for t in (q, k, v):
         _require_tensor(t, "attention")
-    axes = (*range(k.ndim - 2), k.ndim - 1, k.ndim - 2)
-    if q.needs_grad or k.needs_grad or v.needs_grad:
-        return matmul(softmax(matmul(q, transpose(k, axes)), bias, scale), v)
-    scores = _product(q.data, np.transpose(k.data, axes))
-    _check_output(scores, "matmul")
-    _softmax_chain(scores, bias, float(scale), out=scores)
-    _check_output(scores, "softmax")
-    # Named for the product that made it, as the composition's last node is.
-    return Tensor._wrap(_product(scores, v.data), (q, k, v), None, "matmul")
+    if (q.ndim != 3 or k.ndim != 3 or k.shape != v.shape or q.shape[::2] != k.shape[::2]
+            or heads < 1 or q.shape[2] % heads):
+        raise ShapeError(f"attention: cannot split q {q.shape}, k {k.shape}, v {v.shape} "
+                         f"into {heads} heads")
+    _join_dtype(q, v, "attention")
+    bsz, sq, d = q.shape
+    hd = d // heads
+    scale = float(scale)
+
+    def split(rows: np.ndarray) -> np.ndarray:
+        return rows.reshape(bsz, rows.shape[1], heads, hd).transpose(0, 2, 1, 3)
+
+    qh, vh = split(q.data), split(v.data)
+    kt = np.swapaxes(split(k.data), -1, -2)
+    probs = _product(qh, kt)
+    _check_output(probs, "matmul")
+    _softmax_chain(probs, bias, scale, out=probs)
+    _check_output(probs, "softmax")
+    out = np.empty(q.shape, dtype=q.dtype)
+    np.matmul(probs, vh, out=split(out))
+    _check_output(out, "matmul")
+
+    def merge(g: np.ndarray | None) -> np.ndarray | None:
+        # Contiguous, as transpose's backward makes it: the projection's
+        # matmul rounds a strided gradient differently.
+        if g is None:
+            return None
+        return np.ascontiguousarray(g.transpose(0, 2, 1, 3)).reshape(bsz, -1, d)
+
+    def backward_fn(g: np.ndarray):
+        g = np.ascontiguousarray(g.reshape(bsz, sq, heads, hd).transpose(0, 2, 1, 3))
+        gp, gv = _product_grads(g, probs, vh, q.needs_grad or k.needs_grad, v.needs_grad)
+        gq = gk = None
+        if gp is not None:
+            gs = _softmax_grad(gp, probs, scale)
+            gq, gkt = _product_grads(gs, qh, kt, q.needs_grad, k.needs_grad)
+            gk = None if gkt is None else np.swapaxes(gkt, -1, -2)
+        return merge(gq), merge(gk), merge(gv)
+
+    return Tensor._wrap(out, (q, k, v), backward_fn, "attention")
 
 
 def linear_gelu(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """``gelu(x @ w + b)`` for a 2-D weight ``w`` and bias vector ``b``.
 
-    When an input needs a gradient this is exactly ``gelu(matmul(x, w,
-    b))``.  Otherwise gelu runs in place on the product's own array, with
-    the float ops of ``gelu`` in the same order and the same checks and
-    error names as the composition: two (..., n) arrays at once, not three.
+    Values, gradients and error names are those of ``gelu(matmul(x, w,
+    b))``.  Without a backward to read the product ``h`` and ``th``, the
+    output is computed in their buffers: two (..., n) arrays at once, not
+    three.
     """
     for t in (x, w, b):
         _require_tensor(t, "linear_gelu")
-    if x.needs_grad or w.needs_grad or b.needs_grad:
-        return gelu(matmul(x, w, b))
     h = _product(x.data, w.data, b.data)
     _check_output(h, "matmul")
     th = _gelu_tanh(h)
-    # h = 0.5 * h * (1.0 + th); no backward reads th, so 1.0 + th goes in its buffer.
-    h *= 0.5
-    th += 1.0
-    h *= th
-    return Tensor._wrap(h, (x, w, b), None, "gelu")
+    keep = x.needs_grad or w.needs_grad or b.needs_grad  # backward reads h and th
+    # out = 0.5 * h * (1.0 + th)
+    out = np.multiply(h, 0.5, out=None if keep else h)
+    out *= np.add(th, 1.0, out=None if keep else th)
+
+    def backward_fn(g: np.ndarray):
+        gh = _gelu_grad(g, h, th)
+        return _product_grads(gh, x.data, w.data, x.needs_grad, w.needs_grad, b.needs_grad)
+
+    return Tensor._wrap(out, (x, w, b), backward_fn, "linear_gelu")
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
@@ -395,6 +433,25 @@ def _gelu_tanh(x: np.ndarray) -> np.ndarray:
     return th
 
 
+def _gelu_grad(g: np.ndarray, x: np.ndarray, th: np.ndarray) -> np.ndarray:
+    """``g`` times gelu's derivative at ``x``, given th = _gelu_tanh(x)."""
+    # du = K * (1.0 + 3.0 * C * (x * x))
+    du = x * x
+    du *= 3.0 * _GELU_C
+    du += 1.0
+    du *= _GELU_K
+    # local = 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th * th) * du
+    local = th * th
+    np.subtract(1.0, local, out=local)
+    local *= x * 0.5
+    local *= du
+    half = th + 1.0
+    half *= 0.5
+    local += half
+    local *= g
+    return local
+
+
 def gelu(a: Tensor) -> Tensor:
     """Gaussian error linear unit, tanh approximation.
 
@@ -403,9 +460,8 @@ def gelu(a: Tensor) -> Tensor:
     are written as products: on float32 arrays numpy's generic float power
     (``x**3``) is about 100x slower than two multiplies.  Both passes run
     their chains in place, in the float-op order of the formulas in the
-    comments, so each keeps two or three temporaries instead of ten.  A
-    forward with no graph to build goes through ``linear_gelu``, which
-    runs the same chain in place on its own product.
+    comments, so each keeps two or three temporaries instead of ten.  The
+    transformer's MLP runs the same chains through ``linear_gelu``.
     """
     _require_tensor(a, "gelu")
     x = a.data
@@ -415,21 +471,7 @@ def gelu(a: Tensor) -> Tensor:
     out *= th + 1.0
 
     def backward_fn(g: np.ndarray):
-        # du = K * (1.0 + 3.0 * C * (x * x))
-        du = x * x
-        du *= 3.0 * _GELU_C
-        du += 1.0
-        du *= _GELU_K
-        # local = 0.5 * (1.0 + th) + 0.5 * x * (1.0 - th * th) * du
-        local = th * th
-        np.subtract(1.0, local, out=local)
-        local *= x * 0.5
-        local *= du
-        half = th + 1.0
-        half *= 0.5
-        local += half
-        local *= g
-        return (local,)
+        return (_gelu_grad(g, x, th),)
 
     return Tensor._wrap(out, (a,), backward_fn, "gelu")
 
@@ -457,6 +499,14 @@ def _softmax_chain(x: np.ndarray, bias, scale: float, out: np.ndarray | None = N
     return out
 
 
+def _softmax_grad(g: np.ndarray, out: np.ndarray, scale: float) -> np.ndarray:
+    """Gradient of softmax's input under ``g``, given its output ``out``."""
+    dot = (g * out).sum(axis=-1, keepdims=True)
+    ga = out * (g - dot)
+    ga *= scale
+    return ga
+
+
 def softmax(a: Tensor, bias=None, scale: float = 1.0) -> Tensor:
     """Numerically stable softmax over the last axis of ``a * scale + bias``.
 
@@ -471,10 +521,7 @@ def softmax(a: Tensor, bias=None, scale: float = 1.0) -> Tensor:
     out = _softmax_chain(a.data, bias, scale)
 
     def backward_fn(g: np.ndarray):
-        dot = (g * out).sum(axis=-1, keepdims=True)
-        ga = out * (g - dot)
-        ga *= scale
-        return (ga,)
+        return (_softmax_grad(g, out, scale),)
 
     return Tensor._wrap(out, (a,), backward_fn, "softmax")
 

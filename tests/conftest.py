@@ -89,27 +89,27 @@ def desk_task():
 class GraphWatch:
     """Counts the training graphs still alive where a watched function starts.
 
-    Every `gelu` output built with a gradient belongs to one step's graph,
-    which keeps it alive through a saved activation or a backward closure.
-    So the number of those outputs still alive at a function's entry counts
-    what is left of earlier graphs.
+    Every `linear_gelu` output (one per block) built with a gradient
+    belongs to one step's graph, which keeps it alive through a saved
+    activation or a backward closure.  So the number of those outputs still
+    alive at a function's entry counts what is left of earlier graphs.
     """
 
     def __init__(self, monkeypatch):
         from accept import tensor as T
 
         self._monkeypatch = monkeypatch
-        self.outputs = []  # weak references to the gelu outputs of every graph
+        self.outputs = []  # weak references to the linear_gelu outputs of every graph
         self.entries = []  # (function name, outputs alive at its entry)
-        gelu = T.gelu
+        linear_gelu = T.linear_gelu
 
-        def recording_gelu(a):
-            out = gelu(a)
+        def recording_linear_gelu(x, w, b):
+            out = linear_gelu(x, w, b)
             if out.needs_grad:
                 self.outputs.append(weakref.ref(out.data))
             return out
 
-        monkeypatch.setattr(T, "gelu", recording_gelu)
+        monkeypatch.setattr(T, "linear_gelu", recording_linear_gelu)
 
     def watch(self, owner, name: str) -> None:
         original = getattr(owner, name)

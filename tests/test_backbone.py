@@ -265,27 +265,14 @@ def test_all_padding_example_fails_before_any_block(monkeypatch):
     assert calls == []
 
 
-def record_softmax_inputs(monkeypatch) -> list:
-    """Patch T.softmax to log the shape of every input it is given."""
-    shapes = []
-    softmax = T.softmax
-
-    def recording(a, *args, **kwargs):
-        shapes.append(a.shape)
-        return softmax(a, *args, **kwargs)
-
-    monkeypatch.setattr(T, "softmax", recording)
-    return shapes
-
-
 def record_attention_scores(monkeypatch) -> list:
-    """Patch T.attention to log the (..., query rows, key rows) shape of its scores."""
+    """Patch T.attention to log the (B, heads, query rows, key rows) shape of its scores."""
     shapes = []
     attention = T.attention
 
-    def recording(q, k, *args, **kwargs):
-        shapes.append(q.shape[:-1] + k.shape[-2:-1])
-        return attention(q, k, *args, **kwargs)
+    def recording(q, k, v, heads, *args, **kwargs):
+        shapes.append((q.shape[0], heads, q.shape[1], k.shape[1]))
+        return attention(q, k, v, heads, *args, **kwargs)
 
     monkeypatch.setattr(T, "attention", recording)
     return shapes
@@ -354,7 +341,7 @@ def test_last_block_query_pruning_matches_full_rows(m, monkeypatch):
         return logits.data, (grads[P] if m else None), grads[Q]
 
     ref_logits, ref_gp, ref_gq = run(lambda t, P, Q: full_rows_logits(model, t, P, Q))
-    shapes = record_softmax_inputs(monkeypatch)
+    shapes = record_attention_scores(monkeypatch)
     logits, gp, gq = run(lambda t, P, Q: model.logits(t, prompt=P, added=Q))
     s = m + 7
     assert shapes == [(4, 2, s, s)] * (TINY.layers - 1) + [(4, 2, s - m, s)]
@@ -367,7 +354,7 @@ def test_last_block_query_pruning_matches_full_rows(m, monkeypatch):
 
 
 def test_last_block_softmax_sees_only_token_queries(monkeypatch):
-    # A tape-free forward: the softmax runs inside the fused attention op.
+    # A tape-free forward.
     cfg = BackboneConfig(layers=3)
     model = BackboneModel.random_init(cfg, seed=0)
     model.freeze()

@@ -116,6 +116,15 @@ def test_budget_explicit_r_over_budget_exits_2(capsys):
                  "--r", "100", "--budget", "10"]) == 2
 
 
+@pytest.mark.parametrize("flag,value", [("--positions", "-1"), ("--budget", "-5"), ("--r", "-2")])
+def test_budget_rejects_a_negative_count_or_rank_below_one(flag, value, capsys):
+    # The last of a repeated flag wins.
+    assert main(["budget", "--d", "64", "--positions", "4", "--K", "2", "--budget", "100",
+                 flag, value]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {flag} must be >= {1 if flag == '--r' else 0}, got {value}\n"
+    assert captured.out == ""
+
 def test_unknown_verb_is_usage_error():
     with pytest.raises(SystemExit) as exc:
         main(["nonsense"])
@@ -399,6 +408,25 @@ def test_eval_accepts_inline_dataset(tmp_path, tiny_backbone_dir, capsys):
     ds = json.dumps({"kind": "majority", "n": 16, "length": 6, "vocab_size": 32, "seed": 9})
     assert main(["eval", "--run-dir", str(rd), "--dataset", ds]) == 0
 
+
+@pytest.mark.parametrize("dataset,message", [
+    ("{bad", "--dataset is not valid JSON"),
+    ("[1, 2]", "dataset: dataset spec must be an object"),
+])
+def test_eval_checks_the_dataset_before_resolving_the_run(
+    dataset, message, tmp_path, tiny_backbone_dir, capsys
+):
+    backbone = tmp_path / "backbone"
+    shutil.copytree(tiny_backbone_dir, backbone)
+    cfg = write_config(tmp_path, base_config(backbone))
+    assert main(["train", cfg, "--runs-dir", str(tmp_path / "runs")]) == 0
+    rd = next((tmp_path / "runs").iterdir())
+    shutil.rmtree(backbone)
+    capsys.readouterr()
+    # Resolving the run would fail first, with exit 1 and "no arch.json".
+    assert main(["eval", "--run-dir", str(rd), "--dataset", dataset]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"error: {message}") and captured.out == ""
 
 def test_eval_refuses_a_best_checkpoint_with_a_fragment_no_component_reads(
     tmp_path, tiny_backbone_dir, capsys

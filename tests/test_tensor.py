@@ -1,5 +1,6 @@
 """Tensor engine tests: op contracts plus finite-difference gradient oracles."""
 
+import itertools
 import os
 import platform
 import subprocess
@@ -484,8 +485,15 @@ def test_gelu_without_gradient_holds_two_arrays_at_once():
     assert peak < 2.5 * h.data.nbytes
 
 
-def composed_attention(q, k, v, bias, scale):
-    return T.matmul(T.softmax(T.matmul(q, T.transpose(k, (0, 1, 3, 2))), bias, scale), v)
+def composed_attention(q, k, v, heads, bias, scale):
+    """The reference: split (B, n, d) rows into heads, attend, merge the heads back."""
+    def split(t):
+        bsz, n, d = t.shape
+        return T.transpose(T.reshape(t, (bsz, n, heads, d // heads)), (0, 2, 1, 3))
+
+    scores = T.matmul(split(q), T.transpose(split(k), (0, 1, 3, 2)))
+    ctx = T.matmul(T.softmax(scores, bias, scale), split(v))
+    return T.reshape(T.transpose(ctx, (0, 2, 1, 3)), q.shape)
 
 
 def composed_linear_gelu(x, w, b):
@@ -508,12 +516,12 @@ def test_fused_ops_without_gradient_are_the_composition_bits(s, rows, padded):
         for b in range(64):
             keep[b, s - b % 9 :] = False
     bias = np.where(keep, 0.0, -1e9).astype(np.float32)[:, None, None, :]
-    q, k, v = (T.Tensor(0.5 * rng.normal(size=(64, 4, n, 16)), dtype=np.float32)
+    q, k, v = (T.Tensor(0.5 * rng.normal(size=(64, n, 64)), dtype=np.float32)
                for n in (rows, s, s))
     # The desk scale, and a numpy float64 one that rounds in float32.
     for scale in (1.0 / np.sqrt(16), 1.0 / np.sqrt(8)):
-        fused = T.attention(q, k, v, bias, scale).data.tobytes()
-        assert fused == composed_attention(q, k, v, bias, scale).data.tobytes()
+        fused = T.attention(q, k, v, 4, bias, scale).data.tobytes()
+        assert fused == composed_attention(q, k, v, 4, bias, scale).data.tobytes()
     x = T.Tensor(rng.normal(size=(64, rows, 64)), dtype=np.float32)
     w = T.Tensor(rng.normal(size=(64, 256)) / 8.0, dtype=np.float32)
     b = T.Tensor(rng.normal(size=(256,)), dtype=np.float32)
@@ -524,18 +532,24 @@ def test_fused_ops_without_gradient_are_the_composition_bits(s, rows, padded):
 def test_fused_ops_with_a_gradient_are_the_composition_graph(seed):
     rng = np.random.default_rng(seed)
     key_mask = np.where(rng.random((2, 6)) > 0.3, 0.0, -1e9).astype(np.float32)[:, None, None, :]
-    for fused_op, composed, shapes, args in (
-        (T.attention, composed_attention, [(2, 3, 4, 5), (2, 3, 6, 5), (2, 3, 6, 5)],
-         (key_mask, 1.0 / np.sqrt(12.0))),
+    cases = (
+        (T.attention, composed_attention, [(2, 4, 15), (2, 6, 15), (2, 6, 15)],
+         (3, key_mask, 1.0 / np.sqrt(12.0))),
         (T.linear_gelu, composed_linear_gelu, [(2, 6, 5), (5, 7), (7,)], ()),
-    ):
-        leaves = f32_leaves(rng, *shapes)
+    )
+    # frozen: the input that needs no gradient, if any.
+    for (fused_op, composed, shapes, args), frozen in itertools.product(cases, (None, 0, 1, 2)):
+        leaves = [T.Tensor(t.data, trainable=i != frozen)
+                  for i, t in enumerate(f32_leaves(rng, *shapes))]
         fused = fused_op(*leaves, *args)
         g = upstream(fused, seed)
-        again = [T.Tensor(t.data, trainable=True) for t in leaves]
+        again = [T.Tensor(t.data, trainable=t.trainable) for t in leaves]
         split = composed(*again, *args)
         assert fused.data.tobytes() == split.data.tobytes()
-        for ga, gb in zip(grads_under(fused, g, *leaves), grads_under(split, g, *again)):
+        pairs = [(a, b) for a, b in zip(leaves, again) if a.trainable]
+        fused_grads = grads_under(fused, g, *(a for a, _ in pairs))
+        split_grads = grads_under(split, g, *(b for _, b in pairs))
+        for ga, gb in zip(fused_grads, split_grads):
             assert ga.tobytes() == gb.tobytes()
 
 
@@ -543,12 +557,12 @@ def test_fused_ops_name_the_composition_op_in_a_checked_block():
     def t(value, shape):
         return T.Tensor(np.full(shape, value), dtype=np.float32)
 
-    small, big, huge = (t(value, (1, 2, 3, 4)) for value in (0.5, 1e10, 1e30))
+    small, big, huge = (t(value, (1, 3, 8)) for value in (0.5, 1e10, 1e30))
     dead_row = np.full((1, 1, 1, 3), -np.inf)  # a query row with no finite score left
     attention_calls = [
-        ((huge, huge, small, None, 1.0), "matmul: produced non-finite values"),
-        ((big, big, small, None, 1e30), "softmax: input has non-finite values"),
-        ((small, small, small, dead_row, 1.0), "softmax: produced non-finite values"),
+        ((huge, huge, small, 2, None, 1.0), "matmul: produced non-finite values"),
+        ((big, big, small, 2, None, 1e30), "softmax: input has non-finite values"),
+        ((small, small, small, 2, dead_row, 1.0), "softmax: produced non-finite values"),
     ]
     linear_args = (t(1e20, (2, 3, 4)), t(1e20, (4, 5)), t(0.0, (5,)))
     calls = [(op, args, error) for args, error in attention_calls
@@ -559,6 +573,53 @@ def test_fused_ops_name_the_composition_op_in_a_checked_block():
         with np.errstate(all="ignore"), pytest.raises(T.NonFiniteError) as err:
             T.checked_block(op, *args)
         assert str(err.value) == error, op
+
+
+def test_attention_rejects_rows_it_cannot_split_into_heads():
+    q, k = T.Tensor(np.ones((2, 3, 8))), T.Tensor(np.ones((2, 5, 8)))
+    for args in [(q, k, k, 3), (q, k, T.Tensor(np.ones((2, 4, 8))), 2),
+                 (q, T.Tensor(np.ones((1, 5, 8))), T.Tensor(np.ones((1, 5, 8))), 2),
+                 (q, k, T.Tensor(np.ones((2, 5, 8)), dtype=np.float32), 2)]:
+        with pytest.raises(T.ShapeError, match="^attention: "):
+            T.attention(*args, None, 1.0)
+
+
+def grad_check_operand(op, arrays: dict, operand: str, *args) -> np.ndarray:
+    """f64 grad_check of a fixed projection of ``op``'s output in one operand.
+
+    Returns the analytic gradient.
+    """
+    def loss(x):
+        out = op(*(x if name == operand else T.Tensor(a) for name, a in arrays.items()), *args)
+        return inner(out, T.Tensor(np.cos(np.arange(out.size)).reshape(out.shape)))
+
+    report = T.grad_check(loss, T.Tensor(arrays[operand]))
+    assert report.max_rel_err < 1e-6, report
+    assert np.abs(report.analytic).max() > 1e-2
+    return report.analytic
+
+
+@pytest.mark.parametrize("operand", ["q", "k", "v"])
+def test_attention_gradient_matches_central_differences(operand):
+    # As in the last block: fewer query rows than keys; the second example
+    # pads its last two keys.  2 heads of 4.
+    rng = np.random.default_rng(5)
+    arrays = {"q": rng.normal(size=(2, 3, 8)),
+              "k": rng.normal(size=(2, 5, 8)),
+              "v": rng.normal(size=(2, 5, 8))}
+    bias = np.where(np.arange(5) < np.array([[5], [3]]), 0.0, -1e9)[:, None, None, :]
+    grad = grad_check_operand(T.attention, arrays, operand, 2, bias, 0.5)
+    if operand != "q":
+        assert not grad[1, 3:].any()  # a padded key's row is unobservable
+
+
+@pytest.mark.parametrize("operand", ["x", "w", "b"])
+def test_linear_gelu_gradient_matches_central_differences(operand):
+    rng = np.random.default_rng(6)
+    arrays = {"x": rng.normal(size=(2, 3, 4)),
+              "w": rng.normal(size=(4, 6)),
+              "b": rng.normal(size=(6,))}
+    grad_check_operand(T.linear_gelu, arrays, operand)
 
 
 @pytest.mark.parametrize("seed", range(3))

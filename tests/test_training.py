@@ -30,6 +30,7 @@ from accept.training import (
     save_checkpoint,
     train,
 )
+from accept.training import _batch_loss  # the exact loss path the trainer runs
 from accept.tensor import Tensor
 
 TINY32 = BackboneConfig(d=16, layers=2, heads=2, vocab_size=16, max_len=8, dtype="f32")
@@ -253,6 +254,27 @@ def test_no_training_graph_outlives_its_step(graph_watch):
     assert len(graph_watch.outputs) == 20 * TINY32.layers
     assert graph_watch.entries == [(name, 0) for name in names]
 
+
+def test_one_desk_adaptation_step_builds_35_op_nodes():
+    # The combined config of the adapt benchmark on the desk architecture:
+    # scpp m=16, K=4 and scap K=2 at 512 parameters each, batch 16.
+    cfg = BackboneConfig()
+    dims_p = PromptDims(positions=16, d=cfg.d, K=4, r=4)
+    dims_a = PromptDims(positions=cfg.max_len, d=cfg.d, K=2, r=4)
+    prompts = apply_init(InitStrategy(), dims_p, dims_a, seed=0)
+    batch = gen_task("pair-match", n=16, length=7, vocab_size=16, seed=3).examples
+    loss = _batch_loss(frozen_model(cfg), prompts, batch, num_classes=2)
+    ops, seen, stack = {}, set(), [loss]
+    while stack:
+        node = stack.pop()
+        if id(node) in seen:
+            continue
+        seen.add(id(node))
+        if node._backward is not None:
+            ops[node.name] = ops.get(node.name, 0) + 1
+        stack.extend(node._parents)
+    assert sum(ops.values()) == 35, ops
+    assert ops["attention"] == ops["linear_gelu"] == cfg.layers, ops
 
 def test_best_snapshot_reproduces_best_metric():
     model = frozen_model(seed=1)
